@@ -1,4 +1,4 @@
-// Internal building blocks of the bulk-processing algorithm (Sec. 3.3).
+// Internal building block of the bulk-processing algorithm (Sec. 3.3).
 //
 // Algorithm 2 of the paper is edgeIter, "a degree-keeping edge iterator":
 // it sweeps a batch B once, maintaining the in-batch degree table deg[],
@@ -7,7 +7,10 @@
 //   EVENTB(i, {x,y}, v, a)  -- after edge i, vertex v's degree became a.
 // Observation 3.6 turns these events into an implicit description of every
 // estimator's level-2 candidate set N(r1) ∩ B, which is what lets bulkTC
-// track r substreams simultaneously in O(r + w) time.
+// track r substreams simultaneously in O(r + w) time. BatchIndex stores
+// the events instead of replaying them: EVENTA's β snapshot per edge, and
+// EVENTB as per-vertex incidence lists, so Γ(r1)(x) = {EVENTB(x, d) :
+// β(r1)(x) < d <= deg_B(x)} is a contiguous slice of x's list.
 //
 // This header is an implementation detail of core::TriangleCounter; it is
 // exposed (and unit-tested against the paper's Figure 2 worked example)
@@ -16,41 +19,137 @@
 #ifndef TRISTREAM_CORE_BULK_ENGINE_H_
 #define TRISTREAM_CORE_BULK_ENGINE_H_
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <span>
+#include <vector>
 
 #include "util/flat_hash_map.h"
+#include "util/logging.h"
 #include "util/types.h"
 
 namespace tristream {
 namespace core {
 
-/// Packs an EVENTB subscription key: vertex v reaching in-batch degree d.
-inline std::uint64_t PackEventKey(VertexId v, std::uint32_t degree) {
-  return (static_cast<std::uint64_t>(v) << 32) | degree;
-}
+/// Algorithm 2's events over one batch, built once and probed read-only.
+/// Batch vertices get dense ids in order of first appearance.
+class BatchIndex {
+ public:
+  /// Dense id of a vertex that does not occur in the batch.
+  static constexpr std::uint32_t kAbsent = 0xffffffffu;
 
-/// Runs Algorithm 2 over `batch`. `deg` is cleared and, after the call,
-/// holds deg_B (the in-batch degree of every touched vertex). on_event_a is
-/// invoked once per edge as on_event_a(i, edge) with `deg` already updated
-/// (callers query deg for the snapshot); on_event_b twice per edge as
-/// on_event_b(i, edge, vertex, new_degree).
-template <typename OnEventA, typename OnEventB>
-void RunEdgeIter(std::span<const Edge> batch,
-                 FlatHashMap<std::uint32_t>& deg, OnEventA&& on_event_a,
-                 OnEventB&& on_event_b) {
-  deg.Clear();
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    const Edge& e = batch[i];
-    // Copy the updated values out before the second operator[] call, which
-    // may rehash and invalidate references.
-    const std::uint32_t dx = ++deg[e.u];
-    const std::uint32_t dy = ++deg[e.v];
-    on_event_a(i, e);
-    on_event_b(i, e, e.u, dx);
-    on_event_b(i, e, e.v, dy);
+  /// Batch edge j's endpoints (index 0 = e.u, 1 = e.v): their dense ids
+  /// and β(e_j), their in-batch degrees right after edge j -- the
+  /// snapshot EVENTA(j) exposes.
+  struct Position {
+    std::uint32_t id[2];
+    std::uint32_t beta[2];
+  };
+
+  /// Rebuilds the index over `batch`: one hashing pass assigns ids and
+  /// records the degree snapshots, then a counting-sort scatter lays out
+  /// the incidence lists. Storage is reused across batches.
+  void Build(std::span<const Edge> batch) {
+    const std::size_t w = batch.size();
+    // Incidence offsets are 32-bit and the lists hold 2w entries.
+    TRISTREAM_CHECK(w <= 0x7fffffffu);
+    // A batch touches at most 2w vertices but typically far fewer: size the
+    // table for w and let it grow past that. The cap bounds eager memory
+    // for pathologically large batches.
+    constexpr std::size_t kMaxEagerReserve = std::size_t{1} << 22;
+    ids_.Clear();
+    ids_.Reserve(std::min(w, kMaxEagerReserve));
+    begin_.clear();
+    begin_.reserve(std::min(2 * w, kMaxEagerReserve) + 1);
+    positions_.resize(w);
+    // begin_ counts each id's incidences during the pass (the EVENTB
+    // degrees) and becomes the exclusive prefix sum after it.
+    auto id_of = [this](VertexId x) {
+      const std::size_t before = ids_.size();
+      std::uint32_t& id = ids_[x];
+      if (ids_.size() != before) {
+        id = static_cast<std::uint32_t>(begin_.size());
+        begin_.push_back(0);
+      }
+      return id;
+    };
+    // Two stages kLag edges apart hide the misses of production batch
+    // sizes: the first resolves an edge's ids (their table slots were
+    // prefetched 2 * kLag edges earlier) and prefetches their counters,
+    // the second bumps the counters in stream order, which fixes β.
+    constexpr std::size_t kLag = 8;
+    for (std::size_t j = 0; j < w + kLag; ++j) {
+      if (j + 2 * kLag < w) {
+        ids_.Prefetch(batch[j + 2 * kLag].u);
+        ids_.Prefetch(batch[j + 2 * kLag].v);
+      }
+      if (j < w) {
+        Position& p = positions_[j];
+        p.id[0] = id_of(batch[j].u);
+        p.id[1] = id_of(batch[j].v);
+        __builtin_prefetch(&begin_[p.id[0]], 1);
+        __builtin_prefetch(&begin_[p.id[1]], 1);
+      }
+      if (j >= kLag) {
+        Position& p = positions_[j - kLag];
+        const std::uint32_t du = ++begin_[p.id[0]];
+        const std::uint32_t dv = ++begin_[p.id[1]];
+        // β is the degree after the whole edge: a self-loop counts twice
+        // before either snapshot is taken.
+        p.beta[0] = p.id[0] == p.id[1] ? dv : du;
+        p.beta[1] = dv;
+      }
+    }
+    std::uint32_t sum = 0;
+    for (std::uint32_t& b : begin_) {
+      const std::uint32_t count = b;
+      b = sum;
+      sum += count;
+    }
+    begin_.push_back(sum);
+    // EVENTB(x, d) lands in slot d - 1 of x's list. For a self-loop the u
+    // side fired EVENTB one degree below its β.
+    incident_.resize(2 * w);
+    for (std::size_t j = 0; j < w; ++j) {
+      const Position& p = positions_[j];
+      const auto pos = static_cast<std::uint32_t>(j);
+      incident_[begin_[p.id[0]] + p.beta[0] - 1 - (p.id[0] == p.id[1])] = pos;
+      incident_[begin_[p.id[1]] + p.beta[1] - 1] = pos;
+    }
   }
-}
+
+  const Position& position(std::size_t j) const { return positions_[j]; }
+
+  /// Dense id of `x`, or kAbsent when no batch edge touches it.
+  std::uint32_t IdOf(VertexId x) const {
+    const std::uint32_t* id = ids_.Find(x);
+    return id != nullptr ? *id : kAbsent;
+  }
+
+  /// deg_B of the vertex with dense id `id` (0 for kAbsent).
+  std::uint32_t Degree(std::uint32_t id) const {
+    return id == kAbsent ? 0 : begin_[id + 1] - begin_[id];
+  }
+
+  /// EVENTB(x, d): the batch position at which the in-batch degree of the
+  /// vertex with dense id `id` reached d, for 1 <= d <= Degree(id).
+  std::uint32_t EventB(std::uint32_t id, std::uint32_t d) const {
+    return incident_[begin_[id] + d - 1];
+  }
+
+  /// Bytes of heap memory held by the index.
+  std::size_t MemoryBytes() const {
+    return ids_.MemoryBytes() + positions_.capacity() * sizeof(Position) +
+           (begin_.capacity() + incident_.capacity()) * sizeof(std::uint32_t);
+  }
+
+ private:
+  FlatHashMap<std::uint32_t> ids_;        // vertex -> dense id
+  std::vector<Position> positions_;       // per batch position
+  std::vector<std::uint32_t> begin_;      // id -> first list slot; [n] = 2w
+  std::vector<std::uint32_t> incident_;   // incidence lists, stream order
+};
 
 }  // namespace core
 }  // namespace tristream

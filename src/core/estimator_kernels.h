@@ -16,8 +16,8 @@
 //      endpoints are batch vertices, which are in the filter by
 //      construction, so probing the stale endpoint arrays never drops
 //      them and the fused sweep emits exactly the candidate set a
-//      post-replacement probe would. False positives cost one redundant
-//      degree-table probe; false negatives are impossible, so skipped
+//      post-replacement probe would. False positives cost two redundant
+//      batch-index probes; false negatives are impossible, so skipped
 //      lanes provably have a = b = 0 and Step 2b cannot change them.
 //   4. For candidate lanes only, emit draw word 1 -- compacted alongside
 //      the candidate list, so non-candidate lanes (the vast majority once

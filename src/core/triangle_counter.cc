@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 
-#include "core/bulk_engine.h"
 #include "core/estimator_kernels.h"
 #include "util/logging.h"
 #include "util/stats.h"
@@ -28,16 +27,12 @@ SimdIsa ResolveIsaOrDie(SimdMode mode) {
   return *isa;
 }
 
-// Bloom sizing for the Step-2b candidate filter: 64 bits per inserted
-// vertex (a batch inserts at most 2w), power of two so the hash is a pure
+// Filter sizing: a power of two of at least `bits` so the hash is a pure
 // shift, floored at 512 bits and capped at 2^26 bits (8 MiB) so a
 // pathological batch cannot own the cache -- past the cap the false-
-// positive rate degrades gracefully and only costs redundant degree
-// probes. The generous per-vertex budget matters: every false positive
-// sends a lane through the scalar Step-2b probe, so at r >> w lanes even
-// a few percent of false positives would dominate the batch.
-int BloomLog2Bits(std::uint64_t w) {
-  const std::uint64_t target = std::max<std::uint64_t>(512, 128 * w);
+// positive rate degrades gracefully and only costs redundant probes.
+int FilterLog2Bits(std::uint64_t bits) {
+  const std::uint64_t target = std::max<std::uint64_t>(512, bits);
   const int log2_bits = 64 - std::countl_zero(target - 1);
   return std::min(log2_bits, 26);
 }
@@ -125,14 +120,8 @@ TriangleCounter::TriangleCounter(const TriangleCounterOptions& options)
       r1_pos_(options.num_estimators, kInvalidEdgeIndex),
       c_(options.num_estimators, 0),
       r1_uv_(options.num_estimators, 0),
-      deg_(1024),
-      level1_(1024),
-      level2_(1024),
       closers_(1024),
-      chain_next_(options.num_estimators, kNil),
-      closer_next_(options.num_estimators, kNil),
-      beta_rep_u_(options.num_estimators, 0),
-      beta_rep_v_(options.num_estimators, 0),
+      closer_chain_(options.num_estimators),
       draw2_(options.num_estimators, 0),
       replacers_(options.num_estimators, 0),
       replace_batch_idx_(options.num_estimators, 0),
@@ -178,21 +167,6 @@ void TriangleCounter::ApplyBatch(std::span<const Edge> batch) {
   const std::uint64_t m_before = applied_edges_;
   const std::uint64_t w = batch.size();
   const std::uint64_t r = cold_.size();
-  // Chosen batch offsets travel through 32-bit lane outputs.
-  TRISTREAM_CHECK(w <= 0xffffffffu);
-
-  // Pre-size the scratch tables to their per-batch worst case so no
-  // rehash happens mid-batch: deg_ holds at most 2w vertices, L at most
-  // min(r, w) batch indices, P at most min(r, 2w) event keys (each edge
-  // fires two EVENTBs), Q at most r awaited closers. Reserve() only ever
-  // grows, so after the first full-size batch these are no-ops. The cap
-  // bounds eager memory for pathologically large batches; past it the
-  // tables fall back to growing on demand.
-  constexpr std::uint64_t kMaxEagerReserve = std::uint64_t{1} << 22;
-  deg_.Reserve(std::min(2 * w, kMaxEagerReserve));
-  level1_.Reserve(std::min(std::min(w, r), kMaxEagerReserve));
-  level2_.Reserve(std::min(std::min(2 * w, r), kMaxEagerReserve));
-  closers_.Reserve(std::min(r, kMaxEagerReserve));
 
   // ---------------------------------------------------------------------
   // Step 0 -- fused lane sweep (SIMD kernel). Every estimator draws its
@@ -200,23 +174,22 @@ void TriangleCounter::ApplyBatch(std::span<const Edge> batch) {
   // (keep with probability m/(m+w), Sec. 3.3's reservoir step) and picks
   // the replacement batch edge in the same draw; word 1 feeds the Step-2b
   // candidate draw. The same pass probes a Bloom filter of the batch's
-  // vertices with each lane's r1 endpoints to pre-filter Step-2b: a lane
-  // only has level-2 work when one of its endpoints gained in-batch
-  // neighbors. No false negatives -- a filtered lane provably has
-  // a = b = 0 (its β is zero and its endpoints are absent from deg_), and
-  // replacing lanes are candidates unconditionally, so probing their
-  // stale endpoints cannot drop them. A false positive just repeats the
-  // old per-lane degree-probe work. Lanes are independent streams keyed
-  // (seed, lane), so the sweep vectorizes with no cross-lane state and
-  // every ISA produces the same bits.
+  // vertices with each lane's r1 endpoints: a lane only has level-2 work
+  // when one of its endpoints gained in-batch neighbors. No false
+  // negatives -- a filtered lane's endpoints are absent from the batch,
+  // and replacing lanes are candidates unconditionally. Lanes are
+  // independent streams keyed (seed, lane), so every ISA produces the
+  // same bits.
   // ---------------------------------------------------------------------
-  // The filter only pays off when most lanes get rejected: for batches
-  // large relative to r nearly every lane has an in-batch endpoint anyway,
-  // and the (128 bits/edge) filter outgrows cache, so run filterless --
-  // the kernel then marks every lane a candidate. The cutoff is a pure
-  // function of (w, r), never of the ISA, so dispatch stays bit-identical.
+  // The filter gets 64 bits per inserted vertex (at most 2w): a false
+  // positive sends a lane through two index probes, so at r >> w lanes
+  // even a few percent would dominate the batch. For batches large
+  // relative to r nearly every lane has an in-batch endpoint anyway, and
+  // the filter outgrows cache, so run filterless -- the kernel then marks
+  // every lane a candidate. The cutoff is a pure function of (w, r), never
+  // of the ISA, so dispatch stays bit-identical.
   const bool use_filter = w * 8 <= r;
-  const int log2_bits = use_filter ? BloomLog2Bits(w) : 6;
+  const int log2_bits = use_filter ? FilterLog2Bits(128 * w) : 6;
   if (use_filter) {
     bloom_.assign(std::size_t{1} << (log2_bits - 6), 0);
     for (const Edge& e : batch) {
@@ -226,104 +199,55 @@ void TriangleCounter::ApplyBatch(std::span<const Edge> batch) {
       bloom_[bit_v >> 6] |= std::uint64_t{1} << (bit_v & 63);
     }
   }
-  kernels::SweepArgs sweep_args;
-  sweep_args.seed = options_.seed;
-  sweep_args.batch_no = batch_no_;
-  sweep_args.m_before = m_before;
-  sweep_args.w = w;
-  sweep_args.lanes = r;
-  sweep_args.bloom = use_filter ? bloom_.data() : nullptr;
-  sweep_args.log2_bits = log2_bits;
-  sweep_args.r1_uv = r1_uv_.data();
-  sweep_args.replacers = replacers_.data();
-  sweep_args.batch_idx = replace_batch_idx_.data();
-  sweep_args.candidates = candidates_.data();
-  sweep_args.draw2 = draw2_.data();
-  const kernels::SweepCounts counts = kernels_->lane_sweep(sweep_args);
+  const kernels::SweepCounts counts = kernels_->lane_sweep(
+      {.seed = options_.seed, .batch_no = batch_no_, .m_before = m_before,
+       .w = w, .lanes = r, .bloom = use_filter ? bloom_.data() : nullptr,
+       .log2_bits = log2_bits, .r1_uv = r1_uv_.data(),
+       .replacers = replacers_.data(), .batch_idx = replace_batch_idx_.data(),
+       .candidates = candidates_.data(), .draw2 = draw2_.data()});
   const std::size_t num_replacers = counts.replacers;
   const std::size_t num_candidates = counts.candidates;
 
-  // ---------------------------------------------------------------------
-  // Step 1 -- scalar chain-building tail over the ~r·w/(m+w) replacing
-  // lanes: install the chosen batch edge, reset the level-2 state, and
-  // chain the lane into L[batch_idx] so Step 2a can record its β values
-  // during the sweep.
-  // ---------------------------------------------------------------------
-  level1_.Clear();
-  for (std::size_t k = 0; k < num_replacers; ++k) {
-    const std::uint32_t est = replacers_[k];
-    const std::uint32_t batch_idx = replace_batch_idx_[k];
-    ColdState& st = cold_[est];
-    r1_uv_[est] = PackUv(batch[batch_idx].u, batch[batch_idx].v);
-    r1_pos_[est] = m_before + batch_idx;
-    st.r2 = Edge();
-    st.r2_pos = kInvalidEdgeIndex;
-    c_[est] = 0;
-    st.has_triangle = false;
-    // Chain-head convention for all three tables: a stored value of 0 means
-    // "empty" (operator[] default-constructs to 0), otherwise head-1 is the
-    // first chain entry. L chains link *replacer-list* indices (not lane
-    // indices) so Step 2a can write the β snapshots in replacer order; the
-    // Step-2b merge walk reads them back without scattered lane-indexed
-    // loads. chain_next_ is shared with the Step-2b level-2 chains -- safe,
-    // because L chains are fully consumed by Step 2a before Step 2b writes.
-    std::uint32_t& head = level1_[batch_idx];
-    chain_next_[k] = head == 0 ? kNil : head - 1;
-    head = static_cast<std::uint32_t>(k) + 1;
-  }
+  // Algorithm 2, once: every edge's β snapshot and every vertex's EVENTB
+  // positions (core/bulk_engine.h).
+  index_.Build(batch);
 
   // ---------------------------------------------------------------------
-  // Step 2a -- first edgeIter sweep: record β(r1)(x), β(r1)(y) for every
-  // estimator that replaced its level-1 edge (Observation 3.6 needs the
-  // degree snapshot at the moment r1 was added). After the sweep, deg_
-  // holds deg_B. Snapshots land in replacer order (beta_rep_*[k] for
-  // replacers_[k]); every non-replacing lane has β = 0 by definition, so
-  // nothing needs clearing at end of batch.
+  // Steps 1, 2a, 2b -- one pass over the candidate lanes. A replacing lane
+  // installs its chosen batch edge as r1 and reads β(r1) from the index
+  // (every other lane has β = 0). Then Algorithm 3 draws the level-2 edge
+  // over c− old candidates plus c+ = a + b in-batch ones: keep the current
+  // r2, or take EVENTB(x, d), which the index resolves on the spot.
   // ---------------------------------------------------------------------
-  RunEdgeIter(
-      batch, deg_,
-      [&](std::size_t j, const Edge&) {  // EVENTA
-        const std::uint32_t* head = level1_.Find(j);
-        if (head == nullptr || *head == 0) return;
-        for (std::uint32_t k = *head - 1; k != kNil; k = chain_next_[k]) {
-          const std::uint64_t uv = r1_uv_[replacers_[k]];
-          beta_rep_u_[k] = *deg_.Find(UvLo(uv));
-          beta_rep_v_[k] = *deg_.Find(UvHi(uv));
-        }
-      },
-      [](std::size_t, const Edge&, VertexId, std::uint32_t) {});
-
-  // ---------------------------------------------------------------------
-  // Step 2b -- choose every estimator's level-2 edge over the combined
-  // candidate space: c− old candidates plus c+ = a + b in-batch candidates
-  // (Algorithm 3's translation of a uniform draw into an EVENTB
-  // subscription in P, or "keep current r2"). Estimators keeping an open
-  // wedge subscribe their awaited closing edge in Q for the Step-3 pass.
-  // Only the lanes the fused sweep emitted as candidates are visited; the
-  // Bloom pre-filter guarantees every skipped lane has a = b = 0.
-  // ---------------------------------------------------------------------
-  level2_.Clear();
   closers_.Clear();
-  std::uint64_t pending_assignments = 0;
+  closers_.Reserve(std::min<std::uint64_t>(r, std::uint64_t{1} << 22));
+  // Q's keys also set bits in a filter of ~8 bits per lane, so the closer
+  // pass skips the Q probe -- a cache miss at production sizes -- for the
+  // batch edges that close nothing, nearly all of them.
+  const int closer_log2_bits = FilterLog2Bits(8 * r);
+  closer_filter_.assign(std::size_t{1} << (closer_log2_bits - 6), 0);
+  const auto closer_bit = [&](std::uint64_t key) {
+    return (key * kernels::kBloomHashMul) >> (64 - closer_log2_bits);
+  };
 
-  // Q and P chains link candidate-list positions, not lane indices: the
-  // positions a batch touches are dense (so the chain arrays stay within a
-  // few cache lines instead of scattering over all r lanes), and
-  // candidates_ maps a position back to its lane wherever a chain is
-  // consumed.
-  auto subscribe_closer = [&](std::uint32_t k, std::uint32_t est_idx) {
-    const ColdState& st = cold_[est_idx];
+  // Open wedges subscribe their closing edge in Q, chained by candidate-
+  // list position k (dense, so the chain stays within a few cache lines),
+  // with the first batch position that may close them: 0 for a kept r2,
+  // p + 1 for an r2 chosen at position p.
+  auto subscribe_closer = [&](std::uint32_t k, std::uint32_t est_idx,
+                              std::uint32_t from) {
     const std::uint64_t uv = r1_uv_[est_idx];
     const Edge r1(UvLo(uv), UvHi(uv));
-    const std::uint64_t key = ClosingEdge(r1, st.r2).Key();
+    const std::uint64_t key = ClosingEdge(r1, cold_[est_idx].r2).Key();
+    const std::uint64_t bit = closer_bit(key);
+    closer_filter_[bit >> 6] |= std::uint64_t{1} << (bit & 63);
     std::uint32_t& head = closers_[key];
-    closer_next_[k] = head == 0 ? kNil : head - 1;
+    closer_chain_[k] = {head == 0 ? kNil : head - 1, from};
     head = k + 1;
   };
 
-  // Both lists from the fused sweep are ascending and every replacer is a
-  // candidate, so a two-pointer merge pairs each candidate with its β
-  // snapshot (zero for non-replacers) without lane-indexed loads.
+  // Both sweep lists are ascending and every replacer is a candidate, so a
+  // two-pointer merge pairs each replacer with its chosen batch edge.
   std::size_t kr = 0;
   for (std::size_t k = 0; k < num_candidates; ++k) {
     const std::uint32_t i = candidates_[k];
@@ -335,23 +259,27 @@ void TriangleCounter::ApplyBatch(std::span<const Edge> batch) {
       __builtin_prefetch(&cold_[pi]);
       __builtin_prefetch(&r1_uv_[pi]);
     }
-    std::uint32_t beta_u = 0;
-    std::uint32_t beta_v = 0;
-    if (kr < num_replacers && replacers_[kr] == i) {
-      beta_u = beta_rep_u_[kr];
-      beta_v = beta_rep_v_[kr];
-      ++kr;
-    }
-    // Every lane replaces in the very first batch (pick < m_before is
-    // impossible at m_before = 0), so r1 is always set by the time any
-    // candidate reaches this loop; avoid the extra scattered r1_pos_ load.
-    TRISTREAM_DCHECK(r1_pos_[i] != kInvalidEdgeIndex);
     ColdState& st = cold_[i];
-    const std::uint64_t uv = r1_uv_[i];
-    const std::uint32_t* du = deg_.Find(UvLo(uv));
-    const std::uint32_t* dv = deg_.Find(UvHi(uv));
-    const std::uint64_t a = (du != nullptr ? *du : 0) - beta_u;
-    const std::uint64_t b = (dv != nullptr ? *dv : 0) - beta_v;
+    std::uint64_t uv;
+    BatchIndex::Position ends = {{0, 0}, {0, 0}};  // r1's endpoint ids, β
+    if (kr < num_replacers && replacers_[kr] == i) {
+      const std::uint32_t pos = replace_batch_idx_[kr++];
+      uv = PackUv(batch[pos].u, batch[pos].v);
+      r1_uv_[i] = uv;
+      r1_pos_[i] = m_before + pos;
+      st = ColdState();
+      c_[i] = 0;
+      ends = index_.position(pos);
+    } else {
+      // Every lane replaces in the very first batch (pick < m_before is
+      // impossible at m_before = 0), so r1 is always set by now.
+      TRISTREAM_DCHECK(r1_pos_[i] != kInvalidEdgeIndex);
+      uv = r1_uv_[i];
+      ends.id[0] = index_.IdOf(UvLo(uv));
+      ends.id[1] = index_.IdOf(UvHi(uv));
+    }
+    const std::uint64_t a = index_.Degree(ends.id[0]) - ends.beta[0];
+    const std::uint64_t b = index_.Degree(ends.id[1]) - ends.beta[1];
     if (a + b == 0) {
       // Bloom false positive: no in-batch neighbors after all.
       continue;
@@ -365,74 +293,45 @@ void TriangleCounter::ApplyBatch(std::span<const Edge> batch) {
     if (phi <= c_minus) {
       // Keep the current r2; its wedge may still be closed by a batch edge.
       if (st.r2_pos != kInvalidEdgeIndex && !st.has_triangle) {
-        subscribe_closer(static_cast<std::uint32_t>(k), i);
+        subscribe_closer(static_cast<std::uint32_t>(k), i, 0);
       }
       continue;
     }
-    // Algorithm 3: translate the draw into the EVENTB that identifies the
-    // chosen in-batch edge.
-    std::uint64_t event_key;
-    if (phi <= c_minus + a) {
-      event_key = PackEventKey(
-          UvLo(uv), beta_u + static_cast<std::uint32_t>(phi - c_minus));
-    } else {
-      event_key = PackEventKey(
-          UvHi(uv), beta_v + static_cast<std::uint32_t>(phi - c_minus - a));
-    }
-    st.r2 = Edge();
-    st.r2_pos = kInvalidEdgeIndex;
-    st.r2_pending = true;
+    // Algorithm 3 names EVENTB(x, d) for the chosen in-batch edge; the
+    // index holds its position.
+    const int side = phi <= c_minus + a ? 0 : 1;
+    const VertexId x = side == 0 ? UvLo(uv) : UvHi(uv);
+    const std::uint64_t d =
+        ends.beta[side] + (phi - c_minus) - (side == 0 ? 0 : a);
+    TRISTREAM_CHECK(d >= 1 && d <= index_.Degree(ends.id[side]));
+    const std::uint32_t pos =
+        index_.EventB(ends.id[side], static_cast<std::uint32_t>(d));
+    TRISTREAM_CHECK(batch[pos].Contains(x));
+    st.r2 = batch[pos];
+    st.r2_pos = m_before + pos;
     st.has_triangle = false;
-    std::uint32_t& head = level2_[event_key];
-    chain_next_[k] = head == 0 ? kNil : head - 1;
-    head = static_cast<std::uint32_t>(k) + 1;
-    ++pending_assignments;
+    subscribe_closer(static_cast<std::uint32_t>(k), i, pos + 1);
   }
+  TRISTREAM_CHECK_EQ(kr, num_replacers);
 
-  // ---------------------------------------------------------------------
-  // Steps 2c + 3 -- second edgeIter sweep (the paper's Sec. 4 notes merge
-  // these into one pass). Per edge, first complete any wedge awaiting this
-  // edge as its closer (Q), then deliver EVENTB subscriptions (P), turning
-  // event picks into concrete level-2 edges whose own closers are then
-  // subscribed in Q for the remainder of the batch.
-  // ---------------------------------------------------------------------
-  std::uint64_t performed_assignments = 0;
-  RunEdgeIter(
-      batch, deg_,
-      [&]([[maybe_unused]] std::size_t j,
-          const Edge& e) {  // EVENTA: closing-edge check
-        const std::uint32_t* head = closers_.Find(e.Key());
-        if (head == nullptr || *head == 0) return;
-#ifndef NDEBUG
-        // Only the DCHECK below reads pos; release builds skip the
-        // computation entirely (the NDEBUG DCHECK never evaluates its
-        // argument).
-        const std::uint64_t pos = m_before + j;
-#endif
-        for (std::uint32_t k = *head - 1; k != kNil; k = closer_next_[k]) {
-          ColdState& st = cold_[candidates_[k]];
-          TRISTREAM_DCHECK(st.r2_pos < pos);
-          st.has_triangle = true;
+  // Steps 2c + 3 -- the one remaining pass over the batch (the paper's
+  // Sec. 4 notes merge these): each edge closes the subscribed wedges
+  // whose r2 precedes it.
+  if (!closers_.empty()) {
+    for (std::size_t j = 0; j < w; ++j) {
+      const std::uint64_t key = batch[j].Key();
+      const std::uint64_t bit = closer_bit(key);
+      if ((closer_filter_[bit >> 6] >> (bit & 63) & 1) == 0) continue;
+      const std::uint32_t* head = closers_.Find(key);
+      if (head == nullptr) continue;
+      for (std::uint32_t k = *head - 1; k != kNil;
+           k = closer_chain_[k].next) {
+        if (j >= closer_chain_[k].from) {
+          cold_[candidates_[k]].has_triangle = true;
         }
-      },
-      [&](std::size_t j, const Edge& e, VertexId v, std::uint32_t d) {
-        // EVENTB(j, e, v, d): deliver pending level-2 assignments.
-        std::uint32_t* head = level2_.Find(PackEventKey(v, d));
-        if (head == nullptr || *head == 0) return;
-        for (std::uint32_t k = *head - 1; k != kNil; k = chain_next_[k]) {
-          const std::uint32_t i = candidates_[k];
-          ColdState& st = cold_[i];
-          TRISTREAM_DCHECK(st.r2_pending);
-          st.r2 = e;
-          st.r2_pos = m_before + j;
-          st.r2_pending = false;
-          st.has_triangle = false;
-          subscribe_closer(k, i);
-          ++performed_assignments;
-        }
-        *head = 0;  // chain consumed; the event cannot fire again
-      });
-  TRISTREAM_CHECK_EQ(pending_assignments, performed_assignments);
+      }
+    }
+  }
   ++batch_no_;
 }
 
@@ -532,7 +431,6 @@ const std::vector<EstimatorState>& TriangleCounter::estimators() {
     st.r2_pos = cold_[i].r2_pos;
     st.c = c_[i];
     st.has_triangle = cold_[i].has_triangle;
-    st.r2_pending = cold_[i].r2_pending;
   }
   return snapshot_;
 }
@@ -552,8 +450,7 @@ void TriangleCounter::SaveState(ckpt::ByteSink& sink) const {
     sink.WriteU32(cs.r2.u);
     sink.WriteU32(cs.r2.v);
     sink.WriteU64(cs.r2_pos);
-    sink.WriteU8(static_cast<std::uint8_t>((cs.has_triangle ? 1 : 0) |
-                                           (cs.r2_pending ? 2 : 0)));
+    sink.WriteU8(cs.has_triangle ? 1 : 0);
   }
   sink.WriteU64(pending_.size());
   for (const Edge& e : pending_) {
@@ -590,12 +487,11 @@ Status TriangleCounter::RestoreState(ckpt::ByteSource& source) {
     TRISTREAM_RETURN_IF_ERROR(source.ReadU32(&cs.r2.v));
     TRISTREAM_RETURN_IF_ERROR(source.ReadU64(&cs.r2_pos));
     TRISTREAM_RETURN_IF_ERROR(source.ReadU8(&flags));
-    if (flags > 3) {
+    if (flags > 1) {
       return Status::CorruptData("estimator " + std::to_string(i) +
                                  " carries unknown flag bits");
     }
-    cs.has_triangle = (flags & 1) != 0;
-    cs.r2_pending = (flags & 2) != 0;
+    cs.has_triangle = flags != 0;
   }
   std::uint64_t pending_count = 0;
   TRISTREAM_RETURN_IF_ERROR(source.ReadU64(&pending_count));
@@ -625,13 +521,13 @@ TriangleCounter::MemoryStats TriangleCounter::ApproxMemoryUsage() const {
       r1_uv_.capacity() * sizeof(std::uint64_t) +
       snapshot_.capacity() * sizeof(EstimatorState);
   stats.batch_scratch_bytes =
-      pending_.capacity() * sizeof(Edge) + deg_.MemoryBytes() +
-      level1_.MemoryBytes() + level2_.MemoryBytes() + closers_.MemoryBytes() +
-      (chain_next_.capacity() + closer_next_.capacity() +
-       beta_rep_u_.capacity() + beta_rep_v_.capacity() + replacers_.capacity() +
-       replace_batch_idx_.capacity() + candidates_.capacity()) *
+      pending_.capacity() * sizeof(Edge) + index_.MemoryBytes() +
+      closers_.MemoryBytes() + closer_chain_.capacity() * sizeof(CloserLink) +
+      (replacers_.capacity() + replace_batch_idx_.capacity() +
+       candidates_.capacity()) *
           sizeof(std::uint32_t) +
-      (draw2_.capacity() + bloom_.capacity()) * sizeof(std::uint64_t);
+      (draw2_.capacity() + bloom_.capacity() + closer_filter_.capacity()) *
+          sizeof(std::uint64_t);
   return stats;
 }
 

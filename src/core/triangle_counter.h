@@ -7,11 +7,12 @@
 //   * TriangleCounter -- the bulk algorithm of Sec. 3.3 (Theorem 3.5):
 //     batches of w edges are absorbed in O(r + w) time and O(r + w) space,
 //     so with w = Θ(r) the whole stream costs O(m + r) -- amortized O(1)
-//     per edge. Includes the paper's Sec. 4 note merging Steps 2c and 3
-//     into one pass; the per-estimator sweeps (level-1 resampling, the
-//     level-2 candidate draw) run as SIMD lane sweeps over counter-based
-//     RNG streams (src/core/README.md documents the pipeline and the
-//     determinism contract).
+//     per edge. Algorithm 2 runs once per batch into a read-only index
+//     (core/bulk_engine.h) against which every estimator resolves its
+//     Observation 3.6 events; the per-estimator draws (level-1
+//     resampling, the level-2 candidate draw) run as SIMD lane sweeps over
+//     counter-based RNG streams (src/core/README.md documents the pipeline
+//     and the determinism contract).
 //
 // Both expose unbiased estimates of the triangle count τ (Lemma 3.2), the
 // wedge count ζ (Lemma 3.10), and the transitivity coefficient κ = 3τ/ζ
@@ -26,6 +27,7 @@
 #include <vector>
 
 #include "ckpt/serial.h"
+#include "core/bulk_engine.h"
 #include "core/neighborhood_sampler.h"
 #include "util/flat_hash_map.h"
 #include "util/rng.h"
@@ -90,7 +92,6 @@ struct EstimatorState {
   EdgeIndex r2_pos = kInvalidEdgeIndex;       // stream position of r2
   std::uint64_t c = 0;                        // |N(r1)| so far
   bool has_triangle = false;                  // wedge r1r2 closed?
-  bool r2_pending = false;                    // batch-transient marker
 
   bool has_r1() const { return r1_pos != kInvalidEdgeIndex; }
   bool has_r2() const { return r2_pos != kInvalidEdgeIndex; }
@@ -256,7 +257,11 @@ class TriangleCounter {
     Edge r2;                               // level-2 edge
     EdgeIndex r2_pos = kInvalidEdgeIndex;  // stream position of r2
     bool has_triangle = false;             // wedge r1r2 closed?
-    bool r2_pending = false;               // batch-transient marker
+  };
+
+  struct CloserLink {    // one Q subscription
+    std::uint32_t next;  // next entry in its chain, kNil at the end
+    std::uint32_t from;  // first batch position that may close the wedge
   };
 
   void ApplyBatch(std::span<const Edge> batch);
@@ -275,20 +280,16 @@ class TriangleCounter {
   std::vector<Edge> pending_;
   std::uint64_t applied_edges_ = 0;
 
-  // Reusable per-batch scratch (cleared per batch; see Sec. 3.3.2).
-  FlatHashMap<std::uint32_t> deg_;        // vertex -> in-batch degree
-  FlatHashMap<std::uint32_t> level1_;     // L: batch index -> chain head
-  FlatHashMap<std::uint32_t> level2_;     // P: EVENTB key -> chain head
+  // Reusable per-batch scratch (rebuilt per batch; see Sec. 3.3.2).
+  BatchIndex index_;                      // Algorithm 2's events over B
   FlatHashMap<std::uint32_t> closers_;    // Q: awaited edge key -> chain head
-  std::vector<std::uint32_t> chain_next_;   // shared chain storage (per est.)
-  std::vector<std::uint32_t> closer_next_;  // Q chain storage (per est.)
-  std::vector<std::uint32_t> beta_rep_u_;  // β(r1)(x)/β(r1)(y) snapshots in
-  std::vector<std::uint32_t> beta_rep_v_;  //   replacer order (Step 2a->2b)
+  std::vector<CloserLink> closer_chain_;  // Q chain storage (per candidate)
   std::vector<std::uint64_t> draw2_;      // per-lane Step-2b draw word
   std::vector<std::uint32_t> replacers_;  // lanes replacing r1 (ascending)
   std::vector<std::uint32_t> replace_batch_idx_;  // their chosen batch edge
   std::vector<std::uint32_t> candidates_;  // lanes passing the Bloom filter
   std::vector<std::uint64_t> bloom_;       // batch-vertex Bloom bits
+  std::vector<std::uint64_t> closer_filter_;  // Q key filter bits
 };
 
 }  // namespace core

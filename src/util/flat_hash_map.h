@@ -1,16 +1,16 @@
 // Open-addressing hash map tuned for the bulk-processing tables.
 //
-// The paper's bulkTC implementation (Sec. 3.3 / Sec. 4) keeps three hash
-// tables per batch -- deg[] (vertex -> in-batch degree), P (event key ->
-// subscriber list head) and Q (awaited closing edge -> subscriber list head)
-// -- all of which are (a) insert/lookup only, and (b) discarded wholesale
-// after each batch. FlatHashMap is a linear-probing power-of-two table with
-// epoch-based O(1) Clear(), so per-batch reuse costs nothing. The paper used
-// GNU unordered_map; this is the production-quality equivalent (no per-node
+// The paper's bulkTC implementation (Sec. 3.3 / Sec. 4) keeps hash tables
+// per batch -- here the batch index's vertex -> dense id map and Q
+// (awaited closing edge -> subscriber list head) -- which are (a)
+// insert/lookup only, and (b) discarded wholesale after each batch.
+// FlatHashMap is a linear-probing power-of-two table with epoch-based O(1)
+// Clear(), so per-batch reuse costs nothing. The paper used GNU
+// unordered_map; this is the production-quality equivalent (no per-node
 // allocation, cache-friendly probing).
 //
-// Keys are 64-bit integers (vertex ids, packed edge keys, packed event
-// keys). No erase support: none of the streaming tables delete entries.
+// Keys are 64-bit integers (vertex ids, packed edge keys). No erase
+// support: none of the streaming tables delete entries.
 
 #ifndef TRISTREAM_UTIL_FLAT_HASH_MAP_H_
 #define TRISTREAM_UTIL_FLAT_HASH_MAP_H_
@@ -91,6 +91,12 @@ class FlatHashMap {
 
   /// True when `key` is present.
   bool Contains(std::uint64_t key) const { return Find(key) != nullptr; }
+
+  /// Hints the slot a later lookup of `key` starts probing at into cache,
+  /// so batch loops can overlap the miss with work on earlier keys.
+  void Prefetch(std::uint64_t key) const {
+    __builtin_prefetch(&slots_[U64Mixer()(key) & mask_]);
+  }
 
   /// Calls fn(key, value) for every live entry (unspecified order).
   template <typename Fn>

@@ -862,6 +862,31 @@ TEST(CheckpointContractTest, RestoreStateRejectsWrongShardCount) {
   EXPECT_EQ(s.code(), StatusCode::kCorruptData) << s;
 }
 
+TEST(CheckpointContractTest, RestoreStateRejectsUndefinedFlagBits) {
+  // Bit 0 (wedge closed) is the only per-estimator flag a snapshot holds.
+  const auto el = gen::GnmRandom(100, 1024, 76);
+  core::TriangleCounterOptions options;
+  options.num_estimators = 64;
+  options.seed = 7;
+  options.batch_size = kBatch;
+  core::TriangleCounter saved(options);
+  saved.ProcessEdges(std::span<const Edge>(el.edges()));
+  ByteSink sink;
+  saved.SaveState(sink);
+  // Header: applied edges, batch number, estimator count (3 x u64); then
+  // 41 bytes per estimator, the flag byte last.
+  std::string blob = sink.data();
+  constexpr std::size_t kFirstFlag = 3 * 8 + 40;
+  ASSERT_LE(static_cast<unsigned char>(blob[kFirstFlag]), 1);
+  blob[kFirstFlag] = static_cast<char>(blob[kFirstFlag] | 2);
+  core::TriangleCounter other(options);
+  ByteSource source(blob);
+  const Status s = other.RestoreState(source);
+  ASSERT_FALSE(s.ok());
+  EXPECT_EQ(s.code(), StatusCode::kCorruptData) << s;
+  EXPECT_NE(s.message().find("flag bits"), std::string::npos) << s;
+}
+
 }  // namespace
 }  // namespace ckpt
 }  // namespace tristream

@@ -13,6 +13,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
@@ -87,12 +88,12 @@ struct ChildOutcome {
   std::string stderr_text;
 };
 
-/// Runs the CLI with `args`. When `kill_when_exists` is non-empty, polls
-/// for that file and SIGKILLs the child the moment it appears (a crash at
-/// a random instant of the checkpoint rotation); otherwise waits for a
-/// clean exit.
+/// Runs the CLI with `args`. When `kill_when_exist` is non-empty, polls
+/// for those files and SIGKILLs the child the moment all of them exist (a
+/// crash at a random instant of the checkpoint rotation); otherwise waits
+/// for a clean exit.
 ChildOutcome RunCli(const std::vector<std::string>& args,
-                    const std::string& kill_when_exists = "") {
+                    const std::vector<std::string>& kill_when_exist = {}) {
   const std::string stdout_path =
       std::string(::testing::TempDir()) + "/crash_child_stdout";
   const std::string stderr_path =
@@ -124,7 +125,9 @@ ChildOutcome RunCli(const std::vector<std::string>& args,
   for (;;) {
     const pid_t done = ::waitpid(pid, &status, WNOHANG);
     if (done == pid) break;
-    if (!kill_when_exists.empty() && FileExists(kill_when_exists)) {
+    if (!kill_when_exist.empty() &&
+        std::all_of(kill_when_exist.begin(), kill_when_exist.end(),
+                    FileExists)) {
       ::kill(pid, SIGKILL);
       outcome.killed = true;
       ::waitpid(pid, &status, 0);
@@ -206,12 +209,14 @@ void RunKillResumeCycle(const std::vector<std::string>& base_args,
   const std::string expected = EstimateLines(reference.stdout_text);
   ASSERT_FALSE(expected.empty()) << reference.stdout_text;
 
-  // Victim: checkpointing every 20K edges; killed as soon as the second
-  // generation appears, i.e. somewhere inside the ongoing rotation.
+  // Victim: checkpointing every 20K edges; killed as soon as both
+  // generations exist, i.e. somewhere inside the ongoing rotation. (`prev`
+  // alone appears one rename before the new primary; a kill in between
+  // leaves only `prev`, the state PersistFaultHookTest covers.)
   std::vector<std::string> victim_args = base_args;
   victim_args.insert(victim_args.end(),
                      {"--checkpoint", ckpt, "--checkpoint-every", "20000"});
-  const ChildOutcome victim = RunCli(victim_args, prev);
+  const ChildOutcome victim = RunCli(victim_args, {ckpt, prev});
   ASSERT_TRUE(FileExists(ckpt)) << victim.stderr_text;
   ASSERT_TRUE(FileExists(prev)) << victim.stderr_text;
   // (If the machine was slow enough that the child finished before the

@@ -1,6 +1,7 @@
 // Tests for the bulk-processing engine (Sec. 3.3 / Theorem 3.5):
-//   * the degree-keeping edge iterator against the paper's Figure 2
-//     worked example (deg tables, β values, Observation 3.6's Γ sets);
+//   * the batch index against the paper's Figure 2 worked example (deg
+//     tables, β values, EVENTB positions, Observation 3.6's Γ sets) and
+//     on multigraph input;
 //   * deterministic estimator-state invariants across batch sizes,
 //     including w = 1 (which must behave like the sequential algorithm);
 //   * distributional equivalence with the naive engine;
@@ -38,7 +39,16 @@ std::vector<Edge> Figure2Batch() {
           Edge(kI, kL)};
 }
 
-TEST(EdgeIterTest, Figure2DegreeTable) {
+// deg of the vertex with dense id `id` after batch edge `step`: the
+// number of its EVENTB positions at or before `step`.
+std::uint32_t DegreeAfter(const BatchIndex& index, std::uint32_t id,
+                          std::size_t step) {
+  std::uint32_t d = 0;
+  while (d < index.Degree(id) && index.EventB(id, d + 1) <= step) ++d;
+  return d;
+}
+
+TEST(BatchIndexTest, Figure2DegreeTable) {
   // Expected deg_B(i) snapshots per the figure:
   //        I  J  K  L
   // KL  :  -  -  1  1
@@ -48,78 +58,104 @@ TEST(EdgeIterTest, Figure2DegreeTable) {
   // IL  :  3  2  3  2
   const std::vector<std::vector<std::uint32_t>> expected = {
       {0, 0, 1, 1}, {0, 1, 2, 1}, {1, 1, 3, 1}, {2, 2, 3, 1}, {3, 2, 3, 2}};
-  FlatHashMap<std::uint32_t> deg;
   const auto batch = Figure2Batch();
-  std::size_t step = 0;
-  RunEdgeIter(
-      batch, deg,
-      [&](std::size_t i, const Edge&) {
-        ASSERT_EQ(i, step);
-        for (VertexId v = 0; v < 4; ++v) {
-          const std::uint32_t* d = deg.Find(v);
-          EXPECT_EQ(d != nullptr ? *d : 0, expected[step][v])
-              << "step " << step << " vertex " << v;
-        }
-        ++step;
-      },
-      [](std::size_t, const Edge&, VertexId, std::uint32_t) {});
-  EXPECT_EQ(step, 5u);
-  // Final table is deg_B.
-  EXPECT_EQ(*deg.Find(kI), 3u);
-  EXPECT_EQ(*deg.Find(kJ), 2u);
-  EXPECT_EQ(*deg.Find(kK), 3u);
-  EXPECT_EQ(*deg.Find(kL), 2u);
+  BatchIndex index;
+  index.Build(batch);
+  // Dense ids follow first appearance: K, L, J, I.
+  EXPECT_EQ(index.IdOf(kK), 0u);
+  EXPECT_EQ(index.IdOf(kL), 1u);
+  EXPECT_EQ(index.IdOf(kJ), 2u);
+  EXPECT_EQ(index.IdOf(kI), 3u);
+  EXPECT_EQ(index.IdOf(7), BatchIndex::kAbsent);
+  for (std::size_t step = 0; step < batch.size(); ++step) {
+    // EVENTA's snapshot: each edge's endpoints, right after the edge.
+    EXPECT_EQ(index.position(step).beta[0], expected[step][batch[step].u])
+        << "step " << step;
+    EXPECT_EQ(index.position(step).beta[1], expected[step][batch[step].v])
+        << "step " << step;
+    EXPECT_EQ(index.position(step).id[0], index.IdOf(batch[step].u));
+    EXPECT_EQ(index.position(step).id[1], index.IdOf(batch[step].v));
+    // The whole table row is recoverable from the incidence lists.
+    for (VertexId v = 0; v < 4; ++v) {
+      EXPECT_EQ(DegreeAfter(index, index.IdOf(v), step), expected[step][v])
+          << "step " << step << " vertex " << v;
+    }
+  }
+  // The list lengths are deg_B.
+  EXPECT_EQ(index.Degree(index.IdOf(kI)), 3u);
+  EXPECT_EQ(index.Degree(index.IdOf(kJ)), 2u);
+  EXPECT_EQ(index.Degree(index.IdOf(kK)), 3u);
+  EXPECT_EQ(index.Degree(index.IdOf(kL)), 2u);
 }
 
-TEST(EdgeIterTest, Figure2EventBSequence) {
+TEST(BatchIndexTest, Figure2EventBSequence) {
   // Each edge fires EVENTB for both endpoints with the updated degree;
-  // these are the circled entries of the figure.
+  // these are the circled entries of the figure, and each one is the
+  // (d - 1)-th entry of its vertex's incidence list.
   struct EventB {
     std::size_t i;
     VertexId v;
     std::uint32_t d;
   };
-  std::vector<EventB> events;
-  FlatHashMap<std::uint32_t> deg;
   const auto batch = Figure2Batch();
-  RunEdgeIter(
-      batch, deg, [](std::size_t, const Edge&) {},
-      [&](std::size_t i, const Edge&, VertexId v, std::uint32_t d) {
-        events.push_back({i, v, d});
-      });
-  ASSERT_EQ(events.size(), 10u);
+  BatchIndex index;
+  index.Build(batch);
   const std::vector<EventB> expected = {
       {0, kK, 1}, {0, kL, 1}, {1, kJ, 1}, {1, kK, 2}, {2, kI, 1},
       {2, kK, 3}, {3, kI, 2}, {3, kJ, 2}, {4, kI, 3}, {4, kL, 2}};
-  for (std::size_t i = 0; i < expected.size(); ++i) {
-    EXPECT_EQ(events[i].i, expected[i].i) << "event " << i;
-    EXPECT_EQ(events[i].v, expected[i].v) << "event " << i;
-    EXPECT_EQ(events[i].d, expected[i].d) << "event " << i;
+  std::uint32_t total = 0;
+  for (VertexId v = 0; v < 4; ++v) total += index.Degree(index.IdOf(v));
+  EXPECT_EQ(total, expected.size());
+  for (std::size_t k = 0; k < expected.size(); ++k) {
+    EXPECT_EQ(index.EventB(index.IdOf(expected[k].v), expected[k].d),
+              expected[k].i)
+        << "event " << k;
   }
 }
 
-TEST(EdgeIterTest, Figure2Observation36) {
+TEST(BatchIndexTest, Figure2Observation36) {
   // Observation 3.6 on the worked example:
   //   β(JK)(K) = 2, β(IK)(I) = 1, and for e ∉ B, β(e)(v) = 0.
   //   N(IK) ∩ B = Γ(IK)(I) ∪ Γ(IK)(K) = {IJ, IL} ∪ {} (no K-edge after IK).
   const auto batch = Figure2Batch();
-  FlatHashMap<std::uint32_t> deg;
-  std::map<std::pair<VertexId, std::uint32_t>, std::size_t> event_to_index;
-  RunEdgeIter(
-      batch, deg, [](std::size_t, const Edge&) {},
-      [&](std::size_t i, const Edge&, VertexId v, std::uint32_t d) {
-        event_to_index[{v, d}] = i;
-      });
+  BatchIndex index;
+  index.Build(batch);
+  EXPECT_EQ(index.position(1).beta[1], 2u);  // β(JK)(K)
   // β(IK): at index 2, deg(I)=1, deg(K)=3.
-  const std::uint32_t beta_i = 1, beta_k = 3;
-  const std::uint32_t deg_b_i = *deg.Find(kI);  // 3
-  const std::uint32_t deg_b_k = *deg.Find(kK);  // 3
-  // Γ(IK)(I): events (I, β+1) .. (I, deg_B): (I,2) -> IJ, (I,3) -> IL.
-  EXPECT_EQ(deg_b_i - beta_i, 2u);
-  EXPECT_EQ((event_to_index[{kI, 2}]), 3u);  // IJ at batch index 3
-  EXPECT_EQ((event_to_index[{kI, 3}]), 4u);  // IL at batch index 4
+  const std::uint32_t beta_i = index.position(2).beta[0];
+  const std::uint32_t beta_k = index.position(2).beta[1];
+  EXPECT_EQ(beta_i, 1u);
+  EXPECT_EQ(beta_k, 3u);
+  // Γ(IK)(I) by rank: EVENTB(I, β+1) .. EVENTB(I, deg_B) = IJ, IL.
+  const std::uint32_t id_i = index.IdOf(kI);
+  ASSERT_EQ(index.Degree(id_i) - beta_i, 2u);
+  EXPECT_EQ(index.EventB(id_i, beta_i + 1), 3u);  // IJ at batch index 3
+  EXPECT_EQ(index.EventB(id_i, beta_i + 2), 4u);  // IL at batch index 4
   // Γ(IK)(K) is empty.
-  EXPECT_EQ(deg_b_k - beta_k, 0u);
+  EXPECT_EQ(index.Degree(index.IdOf(kK)) - beta_k, 0u);
+}
+
+TEST(BatchIndexTest, SelfLoopsAndRepeatsFollowEdgeIter) {
+  // Raw socket input is a multigraph. Algorithm 2 bumps a self-loop's
+  // vertex twice before EVENTA, so both β entries read the doubled degree
+  // and the vertex's list holds the position twice; a repeated edge is
+  // just another incidence.
+  const std::vector<Edge> batch = {Edge(5, 6), Edge(5, 5), Edge(6, 5),
+                                   Edge(5, 9)};
+  BatchIndex index;
+  index.Build(batch);
+  const std::uint32_t id5 = index.IdOf(5);
+  EXPECT_EQ(index.position(1).beta[0], 3u);
+  EXPECT_EQ(index.position(1).beta[1], 3u);
+  EXPECT_EQ(index.position(2).beta[0], 2u);  // 6 after the repeat
+  EXPECT_EQ(index.position(2).beta[1], 4u);  // 5 after the repeat
+  ASSERT_EQ(index.Degree(id5), 5u);
+  const std::vector<std::uint32_t> expected_list = {0, 1, 1, 2, 3};
+  for (std::uint32_t d = 1; d <= 5; ++d) {
+    EXPECT_EQ(index.EventB(id5, d), expected_list[d - 1]) << "d " << d;
+  }
+  EXPECT_EQ(index.Degree(index.IdOf(6)), 2u);
+  EXPECT_EQ(index.Degree(index.IdOf(9)), 1u);
 }
 
 // --------------------------------------------------- invariants per batch
@@ -148,7 +184,6 @@ TEST_P(BulkInvariantSweep, StateInvariantsAcrossBatchSizes) {
                                         simd));
     counter.ProcessEdges(stream.edges());
     for (const EstimatorState& st : counter.estimators()) {
-      ASSERT_FALSE(st.r2_pending);
       ExpectStateInvariants(
           stream, stats.c, StreamEdge(st.r1, st.r1_pos),
           st.has_r2() ? StreamEdge(st.r2, st.r2_pos) : StreamEdge(), st.c,

@@ -3,9 +3,9 @@
 // resumed against uninterrupted); this one pins the *values*, so a change
 // to TriangleCounter's batch pipeline that keeps runs self-consistent but
 // moves a single draw, candidate count or triangle flag fails here. The
-// expected values below were recorded from the two-sweep edgeIter engine
-// that the batch index replaced, and must never be re-recorded to make a
-// pipeline change pass: a mismatch means the estimator changed.
+// expected values were recorded before the batch index replaced the two
+// edgeIter sweeps. Never re-record them to make a pipeline change pass: a
+// mismatch means the estimator changed.
 //
 // Covered: TriangleCounter at five (r, w) points -- w = 1, ragged batch
 // sizes, the Bloom-filtered regime (w * 8 <= r, exactly at the cutover)

@@ -23,10 +23,13 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "ckpt/checkpoint.h"
 #include "engine/estimators.h"
 #include "engine/feed_client.h"
 #include "engine/serve.h"
@@ -482,6 +485,19 @@ TEST(ServeResumeTest, EvictedSessionRestoresFromCheckpointBitIdentical) {
   // session -- client B's admission must find a candidate to evict.
   ASSERT_TRUE(WaitForStats(
       server, [](const ServerStats& s) { return s.detached == 1; }));
+  // The server read all of A's events before it saw the close, but the
+  // parked session absorbs them on a worker. Wait for its first periodic
+  // checkpoint: an eviction before any absorb would snapshot an empty
+  // session, and the resume below would then start from zero.
+  const std::string a_ckpt = ckpt_dir + "/stream-31.ckpt";
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  struct stat st {};
+  while (::stat(a_ckpt.c_str(), &st) != 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  ASSERT_EQ(::stat(a_ckpt.c_str(), &st), 0) << "no checkpoint for A";
 
   // Client B: a different identity that needs the budget -> the parked A
   // is evicted to disk to make room. Retries cover the benign race where
@@ -497,6 +513,16 @@ TEST(ServeResumeTest, EvictedSessionRestoresFromCheckpointBitIdentical) {
   ASSERT_TRUE(b.ok()) << b.status();
   EXPECT_EQ(b->final_snapshot.triangles, expected);
 
+  // The eviction left A's only copy on disk; its position is the ack the
+  // restored session will hand A's owner.
+  std::ifstream in(a_ckpt, std::ios::binary);
+  const std::string blob((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+  const auto evicted = ckpt::InspectCheckpoint(blob);
+  ASSERT_TRUE(evicted.ok()) << evicted.status();
+  ASSERT_GE(evicted->edges_processed, 512u);
+  ASSERT_LE(evicted->edges_processed, 2048u);
+
   // A's owner returns: restored from the on-disk snapshot, resumes from
   // the restored ack, finishes bit-identical to the isolated run.
   FeedClientOptions feed_a2 = TestFeedOptions(*port, 31, 0);
@@ -507,7 +533,7 @@ TEST(ServeResumeTest, EvictedSessionRestoresFromCheckpointBitIdentical) {
   EXPECT_EQ(restored->final_snapshot.edges, el.size());
   EXPECT_EQ(restored->final_snapshot.triangles, expected);
   // The resumed attempt only sent what the checkpoint had not absorbed.
-  EXPECT_LT(restored->events_sent, el.size());
+  EXPECT_EQ(restored->events_sent, el.size() - evicted->edges_processed);
 
   server.Stop();
   server.Wait();
