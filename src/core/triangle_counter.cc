@@ -219,12 +219,12 @@ void TriangleCounter::ApplyBatch(std::span<const Edge> batch) {
   // over c− old candidates plus c+ = a + b in-batch ones: keep the current
   // r2, or take EVENTB(x, d), which the index resolves on the spot.
   // ---------------------------------------------------------------------
-  closers_.Clear();
-  closers_.Reserve(std::min<std::uint64_t>(r, std::uint64_t{1} << 22));
-  // Q's keys also set bits in a filter of ~8 bits per lane, so the closer
-  // pass skips the Q probe -- a cache miss at production sizes -- for the
-  // batch edges that close nothing, nearly all of them.
-  const int closer_log2_bits = FilterLog2Bits(8 * r);
+  // Each candidate subscribes at most once, so Q and its key filter are
+  // sized by the candidate count; with few candidates they stay in cache.
+  // The filter (~8 bits per candidate) lets the closer pass skip the Q
+  // probe for the batch edges that close nothing, nearly all of them.
+  closers_.Reset(std::min<std::size_t>(num_candidates, std::size_t{1} << 22));
+  const int closer_log2_bits = FilterLog2Bits(8 * num_candidates);
   closer_filter_.assign(std::size_t{1} << (closer_log2_bits - 6), 0);
   const auto closer_bit = [&](std::uint64_t key) {
     return (key * kernels::kBloomHashMul) >> (64 - closer_log2_bits);

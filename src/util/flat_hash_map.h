@@ -15,6 +15,7 @@
 #ifndef TRISTREAM_UTIL_FLAT_HASH_MAP_H_
 #define TRISTREAM_UTIL_FLAT_HASH_MAP_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -58,16 +59,32 @@ class FlatHashMap {
     }
   }
 
+  /// Clear() plus re-sizing for `expected_entries`: grows like Reserve();
+  /// a larger allocation is kept but probed only over its first
+  /// CapacityFor(expected_entries) slots, so a table reused across batches
+  /// of varying size stays within cache without reallocating.
+  void Reset(std::size_t expected_entries) {
+    Clear();
+    const std::size_t want = CapacityFor(expected_entries);
+    if (want > slots_.size()) {
+      Rehash(want);
+    } else {
+      mask_ = want - 1;
+    }
+  }
+
   /// Ensures capacity for `expected_entries` without rehashing later.
   void Reserve(std::size_t expected_entries) {
     const std::size_t want = CapacityFor(expected_entries);
-    if (want > slots_.size()) Rehash(want);
+    if (want > mask_ + 1) Rehash(std::max(want, slots_.size()));
   }
 
   /// Returns a reference to the value for `key`, default-constructing it on
   /// first access.
   V& operator[](std::uint64_t key) {
-    if ((size_ + 1) * 8 > slots_.size() * 7) Rehash(slots_.size() * 2);
+    if ((size_ + 1) * 8 > (mask_ + 1) * 7) {
+      Rehash(std::max((mask_ + 1) * 2, slots_.size()));
+    }
     std::size_t idx = Probe(key);
     Slot& slot = slots_[idx];
     if (slot.epoch != epoch_) {

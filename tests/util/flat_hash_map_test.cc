@@ -204,6 +204,29 @@ TEST(FlatHashMapTest, ClearEpochWrapResetsSlots) {
   EXPECT_TRUE(map.empty());
 }
 
+TEST(FlatHashMapTest, ResetClearsAndNarrowsWithoutReallocating) {
+  FlatHashMap<int> map(1 << 16);
+  for (int k = 0; k < 1000; ++k) map[k] = k;
+  const std::size_t bytes = map.MemoryBytes();
+  map.Reset(100);  // probes a small prefix, keeps the allocation
+  EXPECT_TRUE(map.empty());
+  EXPECT_EQ(map.Find(7), nullptr);
+  EXPECT_EQ(map.MemoryBytes(), bytes);
+  // Overflowing the prefix rehashes within the allocation's size.
+  for (int k = 0; k < 5000; ++k) map[k] = 2 * k;
+  EXPECT_EQ(map.size(), 5000u);
+  for (int k = 0; k < 5000; ++k) ASSERT_EQ(*map.Find(k), 2 * k);
+  EXPECT_EQ(map.MemoryBytes(), bytes);
+  map.Reset(100);
+  map.Reserve(3000);  // widens the prefix again
+  for (int k = 0; k < 3000; ++k) map[k] = k;
+  EXPECT_EQ(*map.Find(2999), 2999);
+  EXPECT_EQ(map.MemoryBytes(), bytes);
+  map.Reset(1 << 18);  // grows like Reserve
+  EXPECT_TRUE(map.empty());
+  EXPECT_GT(map.MemoryBytes(), bytes);
+}
+
 TEST(FlatHashMapTest, MemoryBytesGrowsWithCapacity) {
   FlatHashMap<std::uint64_t> small(4);
   FlatHashMap<std::uint64_t> big(1 << 16);
