@@ -281,7 +281,8 @@ void TriangleCounter::ApplyBatch(std::span<const Edge> batch) {
     const std::uint64_t a = index_.Degree(ends.id[0]) - ends.beta[0];
     const std::uint64_t b = index_.Degree(ends.id[1]) - ends.beta[1];
     if (a + b == 0) {
-      // Bloom false positive: no in-batch neighbors after all.
+      // No in-batch neighbors after all (a Bloom false positive, a
+      // filterless lane, or an r1 that no later batch edge touches).
       continue;
     }
     const std::uint64_t c_minus = c_[i];
