@@ -1,22 +1,21 @@
 // Parallel-substrate scaling sweep: ingest throughput of the sharded
-// counter at 1..8 threads, pooled/pipelined execution (unpinned and with
-// topology pinning) vs the legacy spawn-a-thread-per-shard-per-batch
-// baseline at equal batch size.
+// counter's pooled pipeline at 1..8 threads, unpinned and with topology
+// pinning, at equal batch size. Speedups are stated against the unpinned
+// 1-thread run.
 //
 // This is an engineering benchmark (no paper figure): it tracks the
-// per-edge constant the pipeline attacks -- thread-creation cost per
-// batch and the ingest/absorb serialization. Estimates are asserted
-// bit-identical between substrates for each (seed, threads) pair, so the
-// sweep doubles as a determinism check.
+// per-batch substrate cost (wakeup, barrier, ingest/absorb overlap).
+// Pinning is placement only, so the pinned and unpinned estimates are
+// asserted bit-identical for each (seed, threads) pair, and the sweep
+// doubles as a determinism check.
 //
 // The default operating point uses small batches on purpose: that is the
-// regime where the per-batch substrate cost (thread creation, wakeup,
-// barrier) dominates per-edge work, which is the constant this bench
-// exists to track. Crank TRISTREAM_BENCH_BATCH up to measure the
-// compute-bound regime instead.
+// regime where the per-batch substrate cost dominates per-edge work,
+// which is the constant this bench exists to track. Crank
+// TRISTREAM_BENCH_BATCH up to measure the compute-bound regime instead.
 //
 // Output: human-readable table on stderr, one machine-readable JSON
-// document on stdout (for BENCH_*.json trajectory tracking). Extra knobs
+// document on stdout (CI uploads it as an artifact). Extra knobs
 // on top of the standard bench env vars:
 //   TRISTREAM_BENCH_R        total estimators        (default 4096)
 //   TRISTREAM_BENCH_BATCH    shared batch size w     (default 64)
@@ -43,7 +42,6 @@ using namespace tristream;
 
 struct Measurement {
   std::uint32_t threads = 0;
-  bool pipelined = false;
   bool pinned = false;
   double median_seconds = 0.0;
   double meps = 0.0;  // million edges/second, ingest + final flush
@@ -52,12 +50,11 @@ struct Measurement {
 };
 
 Measurement RunOne(const bench::DatasetInstance& instance, std::uint64_t r,
-                   std::size_t batch, std::uint32_t threads, bool pipeline,
-                   bool pin, SimdMode simd, int trials) {
+                   std::size_t batch, std::uint32_t threads, bool pin,
+                   SimdMode simd, int trials) {
   std::vector<double> seconds;
   Measurement out;
   out.threads = threads;
-  out.pipelined = pipeline;
   out.pinned = pin;
   for (int trial = 0; trial < trials; ++trial) {
     core::ParallelCounterOptions options;
@@ -65,7 +62,6 @@ Measurement RunOne(const bench::DatasetInstance& instance, std::uint64_t r,
     options.num_threads = threads;
     options.seed = bench::BenchSeed() * 7919 + 13;  // fixed across modes
     options.batch_size = batch;
-    options.use_pipeline = pipeline;
     options.topology.pin_threads = pin;
     options.simd = simd;
     engine::ParallelEstimator estimator(options);
@@ -105,7 +101,7 @@ int main() {
   const char* isa_name = SimdIsaName(*ResolveSimdIsa(simd));
 
   std::fprintf(stderr,
-               "parallel scaling sweep: pooled pipeline vs spawn-per-batch\n"
+               "parallel scaling sweep: pooled pipeline, unpinned and pinned\n"
                "r=%llu batch=%zu trials=%d scale=%.3g simd=%s (isa %s)\n",
                static_cast<unsigned long long>(r), batch, trials,
                bench::BenchScale(), SimdModeName(simd), isa_name);
@@ -116,42 +112,32 @@ int main() {
                static_cast<unsigned long long>(
                    (instance.stream.size() + batch - 1) / batch));
   std::fprintf(stderr, "%8s | %10s | %12s | %12s | %9s\n", "threads", "mode",
-               "seconds", "Medges/s", "vs spawn");
+               "seconds", "Medges/s", "vs 1 thread");
 
   std::vector<Measurement> results;
   bool bit_identical = true;
+  double one_thread_seconds = 0.0;
   for (std::uint32_t threads = 1; threads <= max_threads; threads *= 2) {
-    const Measurement spawn = RunOne(instance, r, batch, threads,
-                                     /*pipeline=*/false, /*pin=*/false,
-                                     simd, trials);
     const Measurement pooled = RunOne(instance, r, batch, threads,
-                                      /*pipeline=*/true, /*pin=*/false,
-                                      simd, trials);
-    // Pinned rows track the topology substrate (PR 5) in the same
-    // trajectory as the PR 1 spawn-vs-pipeline numbers.
+                                      /*pin=*/false, simd, trials);
     const Measurement pinned = RunOne(instance, r, batch, threads,
-                                      /*pipeline=*/true, /*pin=*/true,
-                                      simd, trials);
-    // Same (seed, threads) => all substrates must agree to the last bit.
-    if (spawn.triangles != pooled.triangles ||
-        spawn.wedges != pooled.wedges ||
-        spawn.triangles != pinned.triangles ||
-        spawn.wedges != pinned.wedges) {
+                                      /*pin=*/true, simd, trials);
+    if (threads == 1) one_thread_seconds = pooled.median_seconds;
+    // Same (seed, threads) => placement must not move a single bit.
+    if (pooled.triangles != pinned.triangles ||
+        pooled.wedges != pinned.wedges) {
       bit_identical = false;
       std::fprintf(stderr, "ERROR: estimates diverge at %u threads!\n",
                    threads);
     }
-    for (const Measurement& m : {spawn, pooled, pinned}) {
+    for (const Measurement& m : {pooled, pinned}) {
       std::fprintf(stderr, "%8u | %10s | %12.4f | %12.2f | %8.2fx\n",
-                   m.threads,
-                   !m.pipelined ? "spawn"
-                                : (m.pinned ? "pinned" : "pipeline"),
+                   m.threads, m.pinned ? "pinned" : "unpinned",
                    m.median_seconds, m.meps,
-                   spawn.median_seconds > 0.0
-                       ? spawn.median_seconds / m.median_seconds
+                   m.median_seconds > 0.0
+                       ? one_thread_seconds / m.median_seconds
                        : 0.0);
     }
-    results.push_back(spawn);
     results.push_back(pooled);
     results.push_back(pinned);
   }
@@ -171,11 +157,10 @@ int main() {
   std::printf("  \"results\": [\n");
   for (std::size_t i = 0; i < results.size(); ++i) {
     const Measurement& m = results[i];
-    std::printf("    {\"threads\": %u, \"mode\": \"%s\", \"pinned\": %s, "
-                "\"seconds\": %.6f, \"meps\": %.4f}%s\n",
-                m.threads, m.pipelined ? "pipeline" : "spawn",
-                m.pinned ? "true" : "false", m.median_seconds, m.meps,
-                i + 1 < results.size() ? "," : "");
+    std::printf("    {\"threads\": %u, \"pinned\": %s, \"seconds\": %.6f, "
+                "\"meps\": %.4f}%s\n",
+                m.threads, m.pinned ? "true" : "false", m.median_seconds,
+                m.meps, i + 1 < results.size() ? "," : "");
   }
   std::printf("  ]\n}\n");
   return bit_identical ? 0 : 1;

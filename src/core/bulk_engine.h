@@ -138,6 +138,13 @@ class BatchIndex {
     return incident_[begin_[id] + d - 1];
   }
 
+  /// Bytes Build() leaves allocated for a batch of `w` edges that touches
+  /// 2w distinct vertices, the most a batch can.
+  static std::size_t BytesFor(std::size_t w) {
+    return FlatHashMap<std::uint32_t>::BytesFor(2 * w) + w * sizeof(Position) +
+           (4 * w + 1) * sizeof(std::uint32_t);
+  }
+
   /// Bytes of heap memory held by the index.
   std::size_t MemoryBytes() const {
     return ids_.MemoryBytes() + positions_.capacity() * sizeof(Position) +

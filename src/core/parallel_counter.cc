@@ -55,19 +55,7 @@ ParallelTriangleCounter::ParallelTriangleCounter(
                                                threads);
   if (batch_size_ == 0) batch_size_ = 1;
   buffers_[0].reserve(batch_size_);
-
-  if (!options.use_pipeline) {
-    // Legacy spawn-per-batch substrate: construct shards inline (no
-    // persistent workers to place them on) and skip all placement
-    // machinery -- a single-node layout by definition.
-    slot_node_.assign(threads, 0);
-    node_leader_.push_back(0);
-    node_views_.resize(1);
-    for (std::uint32_t t = 0; t < threads; ++t) {
-      shards_[t] = std::make_unique<TriangleCounter>(shard_opts[t]);
-    }
-    return;
-  }
+  buffers_[1].reserve(batch_size_);
 
   // Plan slot -> (cpu, node). On a single node (the fallback everywhere
   // topology information is absent or disabled) every slot maps to node 0
@@ -86,7 +74,6 @@ ParallelTriangleCounter::ParallelTriangleCounter(
   if (node_leader_.empty()) node_leader_.push_back(0);
   node_views_.resize(node_leader_.size());
 
-  buffers_[1].reserve(batch_size_);
   ThreadPoolOptions pool_opts;
   if (options.topology.pin_threads) {
     pool_opts.pin_cpus.resize(threads, -1);
@@ -140,8 +127,16 @@ ParallelTriangleCounter::~ParallelTriangleCounter() {
   // pool_ is destroyed first).
 }
 
-bool ParallelTriangleCounter::pinned() const {
-  return pool_ != nullptr && all_pinned_;
+std::size_t ParallelTriangleCounter::MemoryBytes() const {
+  std::size_t bytes = 0;
+  for (std::size_t s = 0; s < shards_.size(); ++s) {
+    const std::uint64_t end = s + 1 < shards_.size() ? shard_first_[s + 1]
+                                                     : options_.num_estimators;
+    bytes += TriangleCounter::SteadyStateBytes(end - shard_first_[s],
+                                               batch_size_);
+  }
+  const std::size_t buffers = 2 + 2 * node_staging_.size();
+  return bytes + buffers * batch_size_ * sizeof(Edge);
 }
 
 void ParallelTriangleCounter::SetSourceTraits(bool stable_views,
@@ -190,91 +185,68 @@ void ParallelTriangleCounter::DispatchFillBuffer() {
   // The fill buffer lives on the caller's node; on a multi-node topology
   // stage it per node like any other caller-side buffer.
   DispatchView(std::span<const Edge>(batch), /*replicate=*/true);
-  // Pipelined dispatch already swapped to (and cleared) the other buffer;
-  // the legacy path finished synchronously, so reuse this one.
-  if (pool_ == nullptr) batch.clear();
 }
 
 void ParallelTriangleCounter::DispatchView(std::span<const Edge> view,
                                            bool replicate) {
   aggregates_valid_ = false;
-  if (pool_ != nullptr) {
-    const bool staging = !node_staging_.empty() && replicate;
-    if (staging && view.size() > staging_capacity_) {
-      // A view larger than the pre-touched replicas (an engine batch size
-      // above the counter's own w, e.g. under autotuning) must not make
-      // assign() reallocate on the caller's node: grow the replicas
-      // inside a generation so each node's leader first-touches the new
-      // pages on-node. Rare -- at most a few growths per run.
-      staging_capacity_ = view.size();
-      WaitForInFlight();
-      pool_->Dispatch([this](std::size_t slot) {
-        const int node = slot_node_[slot];
-        if (node_leader_[node] == slot) {
-          for (std::vector<Edge>& stage : node_staging_[node]) {
-            stage.resize(staging_capacity_);
-            stage.clear();
-          }
-        }
-      });
-      absorb_task_published_ = false;  // one-shot replaced the absorb task
-      pool_->Wait();
-    }
-    if (staging) {
-      // Stage one replica per node into the *idle* staging half while the
-      // workers may still be absorbing the previous batch out of the
-      // other half -- the copy overlaps compute exactly like the fill
-      // buffers do. After this loop the caller's view is no longer
-      // referenced at all.
-      for (std::size_t node = 0; node < node_staging_.size(); ++node) {
-        node_staging_[node][stage_fill_].assign(view.begin(), view.end());
-      }
-    }
-    // Pipelined: hand the views to the workers and return to ingesting.
+  const bool staging = !node_staging_.empty() && replicate;
+  if (staging && view.size() > staging_capacity_) {
+    // A view larger than the pre-touched replicas (an engine batch size
+    // above the counter's own w, e.g. under autotuning) must not make
+    // assign() reallocate on the caller's node: grow the replicas
+    // inside a generation so each node's leader first-touches the new
+    // pages on-node. Rare -- at most a few growths per run.
+    staging_capacity_ = view.size();
     WaitForInFlight();
-    if (staging) {
-      for (std::size_t node = 0; node < node_staging_.size(); ++node) {
-        node_views_[node] =
-            std::span<const Edge>(node_staging_[node][stage_fill_]);
+    pool_->Dispatch([this](std::size_t slot) {
+      const int node = slot_node_[slot];
+      if (node_leader_[node] == slot) {
+        for (std::vector<Edge>& stage : node_staging_[node]) {
+          stage.resize(staging_capacity_);
+          stage.clear();
+        }
       }
-      stage_fill_ ^= 1;
-    } else {
-      // Broadcast: every node reads the same view (single-node topology,
-      // or a stable zero-copy source without the replication opt-in).
-      for (std::span<const Edge>& node_view : node_views_) node_view = view;
-    }
-    // The batch travels through members, not lambda captures: the absorb
-    // task is published once (SetTask) and re-dispatched per batch, so
-    // the steady-state dispatch constructs no std::function at all.
-    if (!absorb_task_published_) PublishAbsorbTask();
-    pool_->Dispatch();
-    in_flight_ = true;
-    dispatched_edges_ += view.size();
-    fill_ ^= 1;
-    buffers_[fill_].clear();
-    return;
+    });
+    absorb_task_published_ = false;  // one-shot replaced the absorb task
+    pool_->Wait();
   }
-  // Legacy substrate: one fresh thread per shard per batch, joined before
-  // returning (no ingest/absorb overlap).
-  if (shards_.size() == 1) {
-    shards_[0]->ProcessEdges(view);
-    shards_[0]->Flush();
+  if (staging) {
+    // Stage one replica per node into the *idle* staging half while the
+    // workers may still be absorbing the previous batch out of the
+    // other half -- the copy overlaps compute exactly like the fill
+    // buffers do. After this loop the caller's view is no longer
+    // referenced at all.
+    for (std::size_t node = 0; node < node_staging_.size(); ++node) {
+      node_staging_[node][stage_fill_].assign(view.begin(), view.end());
+    }
+  }
+  // Hand the views to the workers and return to ingesting.
+  WaitForInFlight();
+  if (staging) {
+    for (std::size_t node = 0; node < node_staging_.size(); ++node) {
+      node_views_[node] =
+          std::span<const Edge>(node_staging_[node][stage_fill_]);
+    }
+    stage_fill_ ^= 1;
   } else {
-    std::vector<std::thread> workers;
-    workers.reserve(shards_.size());
-    for (auto& shard : shards_) {
-      workers.emplace_back([&shard, view] {
-        shard->ProcessEdges(view);
-        shard->Flush();
-      });
-    }
-    for (std::thread& worker : workers) worker.join();
+    // Broadcast: every node reads the same view (single-node topology,
+    // or a stable zero-copy source without the replication opt-in).
+    for (std::span<const Edge>& node_view : node_views_) node_view = view;
   }
+  // The batch travels through members, not lambda captures: the absorb
+  // task is published once (SetTask) and re-dispatched per batch, so
+  // the steady-state dispatch constructs no std::function at all.
+  if (!absorb_task_published_) PublishAbsorbTask();
+  pool_->Dispatch();
+  in_flight_ = true;
   dispatched_edges_ += view.size();
+  fill_ ^= 1;
+  buffers_[fill_].clear();
 }
 
 void ParallelTriangleCounter::WaitForInFlight() {
-  if (pool_ != nullptr && in_flight_) {
+  if (in_flight_) {
     pool_->Wait();
     in_flight_ = false;
   }
@@ -286,23 +258,16 @@ void ParallelTriangleCounter::EnsureAggregates() {
   // Contract after Flush: nothing in flight, nothing buffered.
   TRISTREAM_DCHECK(!in_flight_);
   TRISTREAM_DCHECK(buffers_[fill_].empty());
-  if (pool_ != nullptr) {
-    // The reduction generation: slot k folds shard k on its own worker,
-    // so reading an estimate costs the caller O(shards), not O(r). This
-    // replaces the published absorb task; the next batch dispatch
-    // republishes it.
-    pool_->Dispatch([this](std::size_t slot) {
-      partials_[slot] = shards_[slot]->ComputePartials(
-          shard_first_[slot], options_.num_estimators, partial_groups_);
-    });
-    absorb_task_published_ = false;
-    pool_->Wait();
-  } else {
-    for (std::size_t s = 0; s < shards_.size(); ++s) {
-      partials_[s] = shards_[s]->ComputePartials(
-          shard_first_[s], options_.num_estimators, partial_groups_);
-    }
-  }
+  // The reduction generation: slot k folds shard k on its own worker, so
+  // reading an estimate costs the caller O(shards), not O(r). This
+  // replaces the published absorb task; the next batch dispatch
+  // republishes it.
+  pool_->Dispatch([this](std::size_t slot) {
+    partials_[slot] = shards_[slot]->ComputePartials(
+        shard_first_[slot], options_.num_estimators, partial_groups_);
+  });
+  absorb_task_published_ = false;
+  pool_->Wait();
 
   const bool grouped = partial_groups_ > 1 &&
                        options_.num_estimators > partial_groups_;

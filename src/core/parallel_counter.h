@@ -13,8 +13,8 @@
 //
 // Execution substrate (pipeline/barrier protocol)
 // -----------------------------------------------
-// In the default pipelined mode the counter owns a persistent
-// util::ThreadPool with one slot per shard and two edge buffers:
+// The counter owns a persistent util::ThreadPool with one slot per shard
+// and two edge buffers:
 //
 //   caller thread:   fill buffer A  | fill buffer B   | fill buffer A ...
 //   pool workers:                   | absorb buffer A | absorb buffer B ...
@@ -31,9 +31,8 @@
 // Because the generation barrier preserves exactly the batch boundaries
 // and per-shard batch order of the serial path, pipelining changes *when*
 // work happens but not *what* each shard computes: estimates are
-// bit-identical to the legacy spawn-per-batch mode (and to a single
-// TriangleCounter per shard fed the same batches) for a fixed
-// (seed, num_threads) pair.
+// bit-identical to a single TriangleCounter per shard fed the same
+// batches, for a fixed (seed, num_threads) pair.
 //
 // Topology-aware placement (options.topology)
 // -------------------------------------------
@@ -57,8 +56,8 @@
 //     same per-node copy.
 //
 // On a single node -- laptops, CI containers, numa=kOff, non-Linux -- all
-// of this degrades to exactly the PR 1 substrate: no staging copies, no
-// pinning, same allocations. Placement never changes what is computed:
+// of this degrades to the plain pooled broadcast: no staging copies, no
+// pinning. Placement never changes what is computed:
 // shard seeds, batch boundaries, and aggregation are independent of where
 // threads run, so estimates stay bit-identical across every
 // topology/pinning/staging configuration for a fixed (seed, num_threads).
@@ -78,8 +77,7 @@
 // vector, so the aggregate is the same statistic regardless of sharding.
 //
 // Determinism: runs are reproducible for a fixed (seed, num_threads) pair
-// (neither the execution mode, the ingest path, nor the topology
-// configuration affects them).
+// (neither the ingest path nor the topology configuration affects them).
 
 #ifndef TRISTREAM_CORE_PARALLEL_COUNTER_H_
 #define TRISTREAM_CORE_PARALLEL_COUNTER_H_
@@ -109,15 +107,8 @@ struct ParallelCounterOptions {
   std::uint32_t median_groups = 12;
   /// Shared batch size w (0 = 8 * num_estimators / num_threads per shard).
   std::size_t batch_size = 0;
-  /// Pipelined execution on a persistent thread pool (double-buffered
-  /// batches; see the file comment). false selects the legacy
-  /// spawn-a-thread-per-shard-per-batch path, kept for substrate
-  /// benchmarking (bench_parallel_scaling) and differential testing;
-  /// estimates are bit-identical either way.
-  bool use_pipeline = true;
   /// Placement policy: pinning, NUMA detection, per-node staging (see the
-  /// file comment). Applies to the pipelined substrate; the legacy spawn
-  /// path ignores it.
+  /// file comment).
   TopologyOptions topology;
   /// Vector ISA for each shard's lane sweeps (forwarded to
   /// TriangleCounterOptions::simd; same bit-identity contract, same
@@ -167,7 +158,7 @@ class ParallelTriangleCounter {
   /// Edges sitting in the fill buffer, not yet dispatched to shards. Zero
   /// on the engine path (AbsorbBatchView bypasses the buffer), in which
   /// case Flush() is only a barrier and never perturbs shard batching.
-  std::size_t buffered_edges() const { return buffers_[fill_].size(); }
+  std::size_t pending_edges() const { return buffers_[fill_].size(); }
 
   /// Aggregated estimates over the union of all shards' estimators.
   double EstimateTriangles();
@@ -179,20 +170,23 @@ class ParallelTriangleCounter {
     return static_cast<std::uint32_t>(shards_.size());
   }
 
-  /// True when running on the persistent pool (false = spawn-per-batch).
-  bool pipelined() const { return pool_ != nullptr; }
-
   /// NUMA nodes the substrate is spread across (1 on single-node
-  /// topologies and on the legacy spawn path).
+  /// topologies).
   std::size_t num_nodes() const { return node_leader_.size(); }
 
   /// True when every pool worker was successfully pinned to its planned
   /// cpu (false when pinning was off, unavailable, or partially failed).
-  bool pinned() const;
+  bool pinned() const { return all_pinned_; }
 
   /// Effective shared batch size w (the resolved 8r/threads default when
   /// options.batch_size was 0).
   std::size_t batch_size() const { return batch_size_; }
+
+  /// Steady-state footprint in bytes: every shard's
+  /// TriangleCounter::SteadyStateBytes at the shared w, plus the fill
+  /// buffers and any per-node staging. Exact from construction on, so
+  /// admission control can charge it before the first batch.
+  std::size_t MemoryBytes() const;
 
   /// Serializes the complete stream state as a sequence of per-shard
   /// blobs plus the partially filled fill buffer. Waits for any in-flight
@@ -210,13 +204,13 @@ class ParallelTriangleCounter {
   Status RestoreState(ckpt::ByteSource& source);
 
  private:
-  /// Hands the current fill buffer to all shards and (in pipelined mode)
-  /// returns as soon as the workers own it, swapping fill buffers.
+  /// Hands the current fill buffer to all shards and returns as soon as
+  /// the workers own it, swapping fill buffers.
   void DispatchFillBuffer();
 
   /// Dispatches an arbitrary view (a fill buffer or a mapped span) to all
-  /// shards. Pipelined mode returns as soon as the workers own it; the
-  /// view must stay valid until the next barrier. `replicate` stages the
+  /// shards and returns as soon as the workers own it; the view must stay
+  /// valid until the next barrier. `replicate` stages the
   /// view once per node first (multi-node topologies only), after which
   /// the view itself is no longer referenced.
   void DispatchView(std::span<const Edge> view, bool replicate);
@@ -225,7 +219,7 @@ class ParallelTriangleCounter {
   void WaitForInFlight();
 
   /// (Re)publishes the steady-state absorb task to the pool -- the one
-  /// Dispatch() re-runs per batch (pipelined mode only).
+  /// Dispatch() re-runs per batch.
   void PublishAbsorbTask();
 
   /// Ensures cached_triangles_/cached_wedges_ reflect everything pushed so

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <limits>
 
 #include "core/estimator_kernels.h"
 #include "util/logging.h"
@@ -35,6 +36,23 @@ int FilterLog2Bits(std::uint64_t bits) {
   const std::uint64_t target = std::max<std::uint64_t>(512, bits);
   const int log2_bits = 64 - std::countl_zero(target - 1);
   return std::min(log2_bits, 26);
+}
+
+std::size_t FilterBytes(int log2_bits) {
+  return (std::size_t{1} << log2_bits) / 8;
+}
+
+// The batch tables' sizing rules, shared by ApplyBatch and
+// SteadyStateBytes. The lane-sweep Bloom filter runs only on batches small
+// against r, with 128 bits per edge; Q holds one entry and ~8 filter bits
+// per candidate lane, capped for pathological r.
+bool UseBloomFilter(std::uint64_t w, std::uint64_t r) { return w * 8 <= r; }
+int BloomLog2Bits(std::uint64_t w) { return FilterLog2Bits(128 * w); }
+std::size_t CloserEntries(std::uint64_t candidates) {
+  return std::min<std::size_t>(candidates, std::size_t{1} << 22);
+}
+int CloserLog2Bits(std::uint64_t candidates) {
+  return FilterLog2Bits(8 * candidates);
 }
 
 // r1 endpoints are stored packed (u in the low word, v in the high word)
@@ -130,10 +148,13 @@ TriangleCounter::TriangleCounter(const TriangleCounterOptions& options)
   // Chain heads and lane lists index estimators with 32-bit values.
   TRISTREAM_CHECK(options.num_estimators < kNil);
   TRISTREAM_CHECK(batch_size_ > 0);
-  // Callers may pass an effectively-infinite batch size to disable
-  // self-batching (the parallel wrapper owns batch boundaries); cap the
-  // eager reservation.
-  pending_.reserve(std::min<std::size_t>(batch_size_, std::size_t{1} << 22));
+  // The parallel wrapper passes an effectively-infinite batch size to
+  // disable self-batching (it owns batch boundaries); pending_ then takes
+  // the size of the first batch handed over. Otherwise reserve one batch,
+  // capped for huge w.
+  if (batch_size_ != std::numeric_limits<std::size_t>::max()) {
+    pending_.reserve(std::min<std::size_t>(batch_size_, std::size_t{1} << 22));
+  }
 }
 
 void TriangleCounter::ProcessEdge(const Edge& e) {
@@ -188,8 +209,8 @@ void TriangleCounter::ApplyBatch(std::span<const Edge> batch) {
   // the filter outgrows cache, so run filterless -- the kernel then marks
   // every lane a candidate. The cutoff is a pure function of (w, r), never
   // of the ISA, so dispatch stays bit-identical.
-  const bool use_filter = w * 8 <= r;
-  const int log2_bits = use_filter ? FilterLog2Bits(128 * w) : 6;
+  const bool use_filter = UseBloomFilter(w, r);
+  const int log2_bits = use_filter ? BloomLog2Bits(w) : 6;
   if (use_filter) {
     bloom_.assign(std::size_t{1} << (log2_bits - 6), 0);
     for (const Edge& e : batch) {
@@ -223,8 +244,8 @@ void TriangleCounter::ApplyBatch(std::span<const Edge> batch) {
   // sized by the candidate count; with few candidates they stay in cache.
   // The filter (~8 bits per candidate) lets the closer pass skip the Q
   // probe for the batch edges that close nothing, nearly all of them.
-  closers_.Reset(std::min<std::size_t>(num_candidates, std::size_t{1} << 22));
-  const int closer_log2_bits = FilterLog2Bits(8 * num_candidates);
+  closers_.Reset(CloserEntries(num_candidates));
+  const int closer_log2_bits = CloserLog2Bits(num_candidates);
   closer_filter_.assign(std::size_t{1} << (closer_log2_bits - 6), 0);
   const auto closer_bit = [&](std::uint64_t key) {
     return (key * kernels::kBloomHashMul) >> (64 - closer_log2_bits);
@@ -530,6 +551,23 @@ TriangleCounter::MemoryStats TriangleCounter::ApproxMemoryUsage() const {
       (draw2_.capacity() + bloom_.capacity() + closer_filter_.capacity()) *
           sizeof(std::uint64_t);
   return stats;
+}
+
+std::size_t TriangleCounter::SteadyStateBytes(std::uint64_t r,
+                                              std::size_t w) {
+  // Per lane: the SoA estimator arrays, its Q chain link, its Step-2b draw
+  // word and its slots in the replacer and candidate lists.
+  const std::size_t per_lane =
+      sizeof(ColdState) + sizeof(EdgeIndex) + 3 * sizeof(std::uint64_t) +
+      sizeof(CloserLink) + 3 * sizeof(std::uint32_t);
+  // Q starts at 1024 entries (the constructor) and grows with candidates.
+  std::size_t bytes =
+      r * per_lane + w * sizeof(Edge) + BatchIndex::BytesFor(w) +
+      FlatHashMap<std::uint32_t>::BytesFor(
+          std::max<std::size_t>(1024, CloserEntries(r))) +
+      FilterBytes(CloserLog2Bits(r));
+  if (UseBloomFilter(w, r)) bytes += FilterBytes(BloomLog2Bits(w));
+  return bytes;
 }
 
 }  // namespace core

@@ -245,6 +245,18 @@ class TriangleCounter {
   };
   MemoryStats ApproxMemoryUsage() const;
 
+  /// Steady-state footprint in bytes of a counter with r estimators that
+  /// absorbs batches of w edges: the estimator arrays plus every batch
+  /// table at the size ApplyBatch gives it when the batch touches 2w
+  /// vertices and every lane is a candidate. A function of (r, w) alone,
+  /// so it holds from construction on, before any batch table exists.
+  static std::size_t SteadyStateBytes(std::uint64_t r, std::size_t w);
+
+  /// SteadyStateBytes at this counter's r and batch size.
+  std::size_t MemoryBytes() const {
+    return SteadyStateBytes(cold_.size(), batch_size_);
+  }
+
  private:
   /// Cold per-estimator fields, touched only when an estimator resamples
   /// or completes a level-2 event. The hot fields of EstimatorState --

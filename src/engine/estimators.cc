@@ -2,6 +2,16 @@
 
 namespace tristream {
 namespace engine {
+namespace {
+
+template <typename Estimator>
+Result<std::unique_ptr<StreamingEstimator>> Make(
+    const typename Estimator::Options& options) {
+  return std::unique_ptr<StreamingEstimator>(
+      std::make_unique<Estimator>(options));
+}
+
+}  // namespace
 
 Result<std::unique_ptr<StreamingEstimator>> MakeEstimator(
     const std::string& algo, const EstimatorConfig& config) {
@@ -11,39 +21,31 @@ Result<std::unique_ptr<StreamingEstimator>> MakeEstimator(
         " requested but this CPU does not support it (use --simd auto)");
   }
   if (algo == "tsb") {
-    core::ParallelCounterOptions o;
-    o.num_estimators = config.num_estimators;
-    o.num_threads = config.num_threads;
-    o.seed = config.seed;
-    o.aggregation = config.aggregation;
-    o.median_groups = config.median_groups;
-    o.batch_size = config.batch_size;
-    o.use_pipeline = config.use_pipeline;
-    o.topology = config.topology;
-    o.simd = config.simd;
-    return std::unique_ptr<StreamingEstimator>(
-        std::make_unique<ParallelEstimator>(o));
+    return Make<ParallelEstimator>(
+        {.num_estimators = config.num_estimators,
+         .num_threads = config.num_threads,
+         .seed = config.seed,
+         .aggregation = config.aggregation,
+         .median_groups = config.median_groups,
+         .batch_size = config.batch_size,
+         .topology = config.topology,
+         .simd = config.simd});
   }
   if (algo == "bulk") {
-    core::TriangleCounterOptions o;
-    o.num_estimators = config.num_estimators;
-    o.seed = config.seed;
-    o.aggregation = config.aggregation;
-    o.median_groups = config.median_groups;
-    o.batch_size = config.batch_size;
-    o.simd = config.simd;
-    return std::unique_ptr<StreamingEstimator>(
-        std::make_unique<BulkEstimator>(o));
+    return Make<BulkEstimator>({.num_estimators = config.num_estimators,
+                                .seed = config.seed,
+                                .aggregation = config.aggregation,
+                                .median_groups = config.median_groups,
+                                .batch_size = config.batch_size,
+                                .simd = config.simd});
   }
   if (algo == "window") {
-    core::SlidingWindowOptions o;
-    o.window_size = config.window_size;
-    o.num_estimators = config.num_estimators;
-    o.seed = config.seed;
-    o.aggregation = config.aggregation;
-    o.median_groups = config.median_groups;
-    return std::unique_ptr<StreamingEstimator>(
-        std::make_unique<SlidingWindowEstimator>(o));
+    return Make<SlidingWindowEstimator>(
+        {.window_size = config.window_size,
+         .num_estimators = config.num_estimators,
+         .seed = config.seed,
+         .aggregation = config.aggregation,
+         .median_groups = config.median_groups});
   }
   if (algo == "dynamic") {
     if (config.sample_probability <= 0.0 || config.sample_probability > 1.0) {
@@ -54,14 +56,12 @@ Result<std::unique_ptr<StreamingEstimator>> MakeEstimator(
     if (config.dynamic_groups == 0) {
       return Status::InvalidArgument("dynamic needs --groups G > 0");
     }
-    core::DynamicCounterOptions o;
-    o.num_groups = config.dynamic_groups;
-    o.sample_probability = config.sample_probability;
-    o.seed = config.seed;
-    o.aggregation = config.aggregation;
-    o.median_groups = config.median_groups;
-    return std::unique_ptr<StreamingEstimator>(
-        std::make_unique<DynamicEstimator>(o));
+    return Make<DynamicEstimator>(
+        {.num_groups = config.dynamic_groups,
+         .sample_probability = config.sample_probability,
+         .seed = config.seed,
+         .aggregation = config.aggregation,
+         .median_groups = config.median_groups});
   }
   if (algo == "buriol") {
     if (config.num_vertices == 0) {
@@ -69,41 +69,31 @@ Result<std::unique_ptr<StreamingEstimator>> MakeEstimator(
           "buriol needs the vertex universe in advance (--vertices N > 0); "
           "neighborhood sampling (tsb) has no such requirement");
     }
-    baseline::BuriolCounter::Options o;
-    o.num_estimators = config.num_estimators;
-    o.seed = config.seed;
-    o.num_vertices = config.num_vertices;
-    return std::unique_ptr<StreamingEstimator>(
-        std::make_unique<BuriolStreamEstimator>(o));
+    return Make<BuriolStreamEstimator>(
+        {.num_estimators = config.num_estimators,
+         .seed = config.seed,
+         .num_vertices = config.num_vertices});
   }
   if (algo == "colorful") {
     if (config.num_colors == 0) {
       return Status::InvalidArgument("colorful needs --colors C > 0");
     }
-    baseline::ColorfulTriangleCounter::Options o;
-    o.num_colors = config.num_colors;
-    o.seed = config.seed;
-    return std::unique_ptr<StreamingEstimator>(
-        std::make_unique<ColorfulStreamEstimator>(o));
+    return Make<ColorfulStreamEstimator>(
+        {.num_colors = config.num_colors, .seed = config.seed});
   }
   if (algo == "jg") {
     if (config.max_degree_bound == 0) {
       return Status::InvalidArgument(
           "jg needs an a-priori degree bound (--max-degree D > 0)");
     }
-    baseline::JowhariGhodsiCounter::Options o;
-    o.num_estimators = config.num_estimators;
-    o.seed = config.seed;
-    o.max_degree_bound = config.max_degree_bound;
-    return std::unique_ptr<StreamingEstimator>(
-        std::make_unique<JowhariGhodsiStreamEstimator>(o));
+    return Make<JowhariGhodsiStreamEstimator>(
+        {.num_estimators = config.num_estimators,
+         .seed = config.seed,
+         .max_degree_bound = config.max_degree_bound});
   }
   if (algo == "first-edge") {
-    baseline::FirstEdgeExhaustiveCounter::Options o;
-    o.num_estimators = config.num_estimators;
-    o.seed = config.seed;
-    return std::unique_ptr<StreamingEstimator>(
-        std::make_unique<FirstEdgeStreamEstimator>(o));
+    return Make<FirstEdgeStreamEstimator>(
+        {.num_estimators = config.num_estimators, .seed = config.seed});
   }
   return Status::InvalidArgument("unknown algorithm '" + algo +
                                  "' (known: " + KnownAlgos() + ")");

@@ -1,26 +1,36 @@
 // StreamingEstimator adapters for every triangle estimator in the repo,
 // plus the name-based factory the CLI and benches share.
 //
-// Each adapter owns its counter and forwards the interface; Reset()
-// reconstructs the counter from the stored options (same seed, same
-// configuration), which is exactly "back to the freshly constructed
-// state" for every engine here. The underlying counter stays reachable
-// through counter() for algorithm-specific reads (shard counts, success
-// rates, chain lengths, estimator state inspection in tests).
+// One class template, CounterEstimator<Counter>, adapts every counter. It
+// owns the counter and forwards the interface; Reset() reconstructs the
+// counter from the stored options (same seed, same configuration), which
+// is exactly "back to the freshly constructed state" for every engine
+// here. The counter stays reachable through counter() for
+// algorithm-specific reads (shard counts, success rates, chain lengths,
+// estimator state inspection in tests).
 //
-// Adapter notes:
-//   * ParallelEstimator::ProcessEdges dispatches the incoming view as one
-//     batch to every shard with no staging copy
-//     (ParallelTriangleCounter::AbsorbBatchView) -- the zero-copy,
-//     pipelined path its deleted ProcessStream used to own. The view
-//     lifetime the interface demands (valid until the next
-//     ProcessEdges/Flush) is exactly what the shards need.
-//   * The serial counters absorb synchronously, so their adapters are
-//     plain forwarding; the bulk counter self-batches at its own w, so
-//     engine batch boundaries never change its estimates.
-//   * The baselines (Buriol, colorful, Jowhari-Ghodsi, first-edge
-//     exhaustive) are strictly per-edge algorithms: batch boundaries
-//     cannot affect their output, which makes them safe under autotuning.
+// What a counter's interface states, the template detects:
+//   * AbsorbBatchView: the sharded counter takes each engine view as one
+//     batch on every shard with no staging copy. The view lifetime the
+//     interface demands (valid until the next ProcessEdges/Flush) is
+//     exactly what the shards need. Other counters absorb through
+//     ProcessEdges, or, with only per-event absorption, edge by edge as
+//     inserts.
+//   * ProcessEvents marks a turnstile counter (supports_deletions);
+//     EstimateWedges, SaveState/RestoreState, Flush, SetSourceTraits,
+//     batch_size and MemoryBytes back the matching estimator reads.
+//   * pending_edges: estimates are non-perturbing exactly when no partial
+//     batch is buffered, since Flush() would absorb it early and change
+//     the RNG trajectory.
+// What the interface does not state sits in CounterTraits<Counter>: the
+// name, the options type, the fingerprint fields, the memory rule of
+// counters without MemoryBytes, and the pull size of per-edge counters.
+//
+// The bulk counter self-batches at its own w, so engine batch boundaries
+// never change its estimates. The baselines (Buriol, colorful,
+// Jowhari-Ghodsi, first-edge exhaustive) are strictly per-edge
+// algorithms: batch boundaries cannot affect their output, which makes
+// them safe under autotuning.
 
 #ifndef TRISTREAM_ENGINE_ESTIMATORS_H_
 #define TRISTREAM_ENGINE_ESTIMATORS_H_
@@ -33,8 +43,8 @@
 
 #include "baseline/buriol.h"
 #include "baseline/colorful.h"
-#include "ckpt/serial.h"
 #include "baseline/jowhari_ghodsi.h"
+#include "ckpt/serial.h"
 #include "core/dynamic_counter.h"
 #include "core/parallel_counter.h"
 #include "core/sliding_window.h"
@@ -47,386 +57,264 @@
 namespace tristream {
 namespace engine {
 
-/// Serial bulk neighborhood-sampling counter (Theorem 3.5).
-class BulkEstimator : public StreamingEstimator {
- public:
-  explicit BulkEstimator(const core::TriangleCounterOptions& options)
-      : options_(options),
-        counter_(std::make_unique<core::TriangleCounter>(options)) {}
+/// Per-algorithm facts a counter's interface does not state: `Options`
+/// and `kName` always; `MixConfig` (the fingerprinted configuration,
+/// after the name) for checkpointable counters; optionally `kPerEdgeBatch`
+/// and `MemoryBytes(options)`.
+template <typename Counter>
+struct CounterTraits;
 
-  const char* name() const override { return "bulk"; }
-  void ProcessEdges(std::span<const Edge> edges) override {
-    counter_->ProcessEdges(edges);
-  }
-  void Flush() override { counter_->Flush(); }
-  void Reset() override {
-    counter_ = std::make_unique<core::TriangleCounter>(options_);
-  }
-  std::uint64_t edges_processed() const override {
-    return counter_->edges_processed();
-  }
-  double EstimateTriangles() override { return counter_->EstimateTriangles(); }
-  bool has_wedge_estimates() const override { return true; }
-  double EstimateWedges() override { return counter_->EstimateWedges(); }
-  double EstimateTransitivity() override {
-    return counter_->EstimateTransitivity();
-  }
-  std::size_t preferred_batch_size() const override {
-    return counter_->batch_size();
-  }
-  /// Safe exactly when no partial batch is pending: the counter
-  /// self-batches at its own w, and Flush() on a partial buffer absorbs
-  /// it early, changing the RNG trajectory.
-  bool estimates_nonperturbing() const override {
-    return counter_->pending_edges() == 0;
-  }
-  std::size_t approx_memory_bytes() const override {
-    const auto stats = counter_->ApproxMemoryUsage();
-    return stats.estimator_bytes + stats.batch_scratch_bytes;
-  }
-  bool checkpointable() const override { return true; }
-  /// Everything that shapes the counter's RNG trajectory or state layout;
-  /// the resolved batch size stands in for options_.batch_size == 0. The
+template <>
+struct CounterTraits<core::TriangleCounter> {
+  using Options = core::TriangleCounterOptions;
+  static constexpr const char* kName = "bulk";
+  /// The resolved batch size stands in for options.batch_size == 0. The
   /// simd mode is deliberately absent: every ISA computes the same bits,
-  /// so snapshots restore across dispatch choices (same policy as the
-  /// parallel estimator's exclusion of placement knobs).
-  std::uint64_t config_fingerprint() const override {
-    ckpt::ConfigFingerprint fp;
-    fp.Mix(name());
-    fp.Mix(options_.num_estimators);
-    fp.Mix(options_.seed);
-    fp.Mix(static_cast<std::uint64_t>(options_.aggregation));
-    fp.Mix(options_.median_groups);
-    fp.Mix(counter_->batch_size());
-    return fp.value();
+  /// so snapshots restore across dispatch choices.
+  static void MixConfig(ckpt::ConfigFingerprint& fp, const Options& o,
+                        const core::TriangleCounter& counter) {
+    fp.Mix(o.num_estimators);
+    fp.Mix(o.seed);
+    fp.Mix(static_cast<std::uint64_t>(o.aggregation));
+    fp.Mix(o.median_groups);
+    fp.Mix(counter.batch_size());
   }
-  Status SaveState(ckpt::ByteSink& sink) override {
-    counter_->SaveState(sink);
-    return Status::Ok();
-  }
-  Status RestoreState(ckpt::ByteSource& source) override {
-    return counter_->RestoreState(source);
-  }
-
-  core::TriangleCounter& counter() { return *counter_; }
-
- private:
-  core::TriangleCounterOptions options_;
-  std::unique_ptr<core::TriangleCounter> counter_;
 };
 
-/// Estimator-sharded parallel neighborhood-sampling counter ("tsb", the
-/// repo's headline engine).
-class ParallelEstimator : public StreamingEstimator {
- public:
-  explicit ParallelEstimator(const core::ParallelCounterOptions& options)
-      : options_(options),
-        counter_(std::make_unique<core::ParallelTriangleCounter>(options)) {}
-
-  const char* name() const override { return "tsb"; }
-  /// Forwards the source traits so the counter's multi-node staging
-  /// policy can tell stable zero-copy views from engine staging buffers.
-  void BeginStream(const StreamSourceTraits& traits) override {
-    counter_->SetSourceTraits(traits.stable_views,
-                              traits.replicate_stable_views);
-  }
-  /// Dispatches the view as one batch to every shard, zero-copy; may
-  /// return while workers are still absorbing (the engine keeps the view
-  /// alive until the next call, which is all the shards need).
-  void ProcessEdges(std::span<const Edge> edges) override {
-    counter_->AbsorbBatchView(edges);
-  }
-  void Flush() override { counter_->Flush(); }
-  void Reset() override {
-    counter_ = std::make_unique<core::ParallelTriangleCounter>(options_);
-  }
-  std::uint64_t edges_processed() const override {
-    return counter_->edges_processed();
-  }
-  double EstimateTriangles() override { return counter_->EstimateTriangles(); }
-  bool has_wedge_estimates() const override { return true; }
-  double EstimateWedges() override { return counter_->EstimateWedges(); }
-  double EstimateTransitivity() override {
-    return counter_->EstimateTransitivity();
-  }
-  std::size_t preferred_batch_size() const override {
-    return counter_->batch_size();
-  }
-  /// On the engine path the fill buffer stays empty (views bypass it via
-  /// AbsorbBatchView), so Flush() is a pure barrier and estimates never
-  /// perturb shard batching.
-  bool estimates_nonperturbing() const override {
-    return counter_->buffered_edges() == 0;
-  }
-  /// Coarse: r sampled states (cold + hot + snapshot copies) plus the
-  /// per-shard double-buffered batch staging.
-  std::size_t approx_memory_bytes() const override {
-    return static_cast<std::size_t>(options_.num_estimators) * 3 *
-               sizeof(core::EstimatorState) +
-           static_cast<std::size_t>(counter_->num_shards()) * 2 *
-               counter_->batch_size() * sizeof(Edge);
-  }
-  bool checkpointable() const override { return true; }
+template <>
+struct CounterTraits<core::ParallelTriangleCounter> {
+  using Options = core::ParallelCounterOptions;
+  static constexpr const char* kName = "tsb";
   /// Resolved shard count and batch size are mixed (not the raw options)
   /// so `--threads 0` cannot silently resolve differently across hosts.
-  /// Placement knobs (pipeline mode, pinning, NUMA staging) are excluded:
-  /// they never change what is computed.
-  std::uint64_t config_fingerprint() const override {
-    ckpt::ConfigFingerprint fp;
-    fp.Mix(name());
-    fp.Mix(options_.num_estimators);
-    fp.Mix(options_.seed);
-    fp.Mix(static_cast<std::uint64_t>(options_.aggregation));
-    fp.Mix(options_.median_groups);
-    fp.Mix(counter_->num_shards());
-    fp.Mix(counter_->batch_size());
-    return fp.value();
+  /// Placement knobs (pinning, NUMA staging) and the simd mode are
+  /// excluded: they never change what is computed.
+  static void MixConfig(ckpt::ConfigFingerprint& fp, const Options& o,
+                        const core::ParallelTriangleCounter& counter) {
+    fp.Mix(o.num_estimators);
+    fp.Mix(o.seed);
+    fp.Mix(static_cast<std::uint64_t>(o.aggregation));
+    fp.Mix(o.median_groups);
+    fp.Mix(counter.num_shards());
+    fp.Mix(counter.batch_size());
   }
-  Status SaveState(ckpt::ByteSink& sink) override {
-    counter_->SaveState(sink);
-    return Status::Ok();
-  }
-  Status RestoreState(ckpt::ByteSource& source) override {
-    return counter_->RestoreState(source);
-  }
-
-  core::ParallelTriangleCounter& counter() { return *counter_; }
-
- private:
-  core::ParallelCounterOptions options_;
-  std::unique_ptr<core::ParallelTriangleCounter> counter_;
 };
 
-/// Sequence-based sliding-window counter (Sec. 5.2). Estimates describe
-/// the most recent window_size edges, not the whole stream.
-class SlidingWindowEstimator : public StreamingEstimator {
- public:
-  explicit SlidingWindowEstimator(const core::SlidingWindowOptions& options)
-      : options_(options),
-        counter_(
-            std::make_unique<core::SlidingWindowTriangleCounter>(options)) {}
-
-  const char* name() const override { return "window"; }
-  void ProcessEdges(std::span<const Edge> edges) override {
-    counter_->ProcessEdges(edges);
-  }
-  void Flush() override {}
-  void Reset() override {
-    counter_ = std::make_unique<core::SlidingWindowTriangleCounter>(options_);
-  }
-  std::uint64_t edges_processed() const override {
-    return counter_->edges_seen();
-  }
-  double EstimateTriangles() override { return counter_->EstimateTriangles(); }
-  bool has_wedge_estimates() const override { return true; }
-  double EstimateWedges() override { return counter_->EstimateWedges(); }
-  double EstimateTransitivity() override {
-    return counter_->EstimateTransitivity();
-  }
+template <>
+struct CounterTraits<core::SlidingWindowTriangleCounter> {
+  using Options = core::SlidingWindowOptions;
+  static constexpr const char* kName = "window";
   /// The chain update is strictly per-edge; 4K-edge pulls just amortize a
-  /// live queue's lock traffic (the old driver's kPullEdges).
-  std::size_t preferred_batch_size() const override { return 4096; }
+  /// live queue's lock traffic.
+  static constexpr std::size_t kPerEdgeBatch = 4096;
   /// Coarse: the buffered window of edges plus r chain states.
-  std::size_t approx_memory_bytes() const override {
-    return static_cast<std::size_t>(options_.window_size) * sizeof(Edge) +
-           static_cast<std::size_t>(options_.num_estimators) * 64;
+  static std::size_t MemoryBytes(const Options& o) {
+    return static_cast<std::size_t>(o.window_size) * sizeof(Edge) +
+           static_cast<std::size_t>(o.num_estimators) * 64;
   }
-  bool checkpointable() const override { return true; }
-  std::uint64_t config_fingerprint() const override {
-    ckpt::ConfigFingerprint fp;
-    fp.Mix(name());
-    fp.Mix(options_.window_size);
-    fp.Mix(options_.num_estimators);
-    fp.Mix(options_.seed);
-    fp.Mix(static_cast<std::uint64_t>(options_.aggregation));
-    fp.Mix(options_.median_groups);
-    return fp.value();
+  static void MixConfig(ckpt::ConfigFingerprint& fp, const Options& o,
+                        const core::SlidingWindowTriangleCounter&) {
+    fp.Mix(o.window_size);
+    fp.Mix(o.num_estimators);
+    fp.Mix(o.seed);
+    fp.Mix(static_cast<std::uint64_t>(o.aggregation));
+    fp.Mix(o.median_groups);
   }
-  Status SaveState(ckpt::ByteSink& sink) override {
-    counter_->SaveState(sink);
-    return Status::Ok();
-  }
-  Status RestoreState(ckpt::ByteSource& source) override {
-    return counter_->RestoreState(source);
-  }
-
-  core::SlidingWindowTriangleCounter& counter() { return *counter_; }
-
- private:
-  core::SlidingWindowOptions options_;
-  std::unique_ptr<core::SlidingWindowTriangleCounter> counter_;
 };
 
-/// Hash-sampling turnstile counter (after Bulteau et al., arXiv:1404.4696):
-/// the one estimator in the repo that absorbs delete events, estimating
-/// the live graph's triangle count. See core/dynamic_counter.h.
-class DynamicEstimator : public StreamingEstimator {
- public:
-  explicit DynamicEstimator(const core::DynamicCounterOptions& options)
-      : options_(options),
-        counter_(std::make_unique<core::DynamicTriangleCounter>(options)) {}
-
-  const char* name() const override { return "dynamic"; }
-  bool supports_deletions() const override { return true; }
-  void ProcessEdges(std::span<const Edge> edges) override {
-    for (const Edge& e : edges) counter_->ProcessEvent(e, EdgeOp::kInsert);
-  }
-  void ProcessEvents(const EventBatchView& view) override {
-    counter_->ProcessEvents(view);
-  }
-  void Flush() override {}
-  void Reset() override {
-    counter_ = std::make_unique<core::DynamicTriangleCounter>(options_);
-  }
-  /// Stream positions here are *events* (inserts + deletes), matching how
-  /// the session and checkpoint cadence count delivered batch entries.
-  std::uint64_t edges_processed() const override {
-    return counter_->events_seen();
-  }
-  double EstimateTriangles() override { return counter_->EstimateTriangles(); }
+template <>
+struct CounterTraits<core::DynamicTriangleCounter> {
+  using Options = core::DynamicCounterOptions;
+  static constexpr const char* kName = "dynamic";
   /// The sketch update is strictly per-event; moderate pulls amortize
   /// source lock traffic without changing anything the sketch computes.
-  std::size_t preferred_batch_size() const override { return 4096; }
-  std::size_t approx_memory_bytes() const override {
-    return counter_->MemoryBytes();
-  }
-  bool checkpointable() const override { return true; }
-  std::uint64_t config_fingerprint() const override {
-    ckpt::ConfigFingerprint fp;
-    fp.Mix(name());
-    fp.Mix(options_.num_groups);
-    fp.Mix(options_.seed);
+  static constexpr std::size_t kPerEdgeBatch = 4096;
+  static void MixConfig(ckpt::ConfigFingerprint& fp, const Options& o,
+                        const core::DynamicTriangleCounter&) {
+    fp.Mix(o.num_groups);
+    fp.Mix(o.seed);
     std::uint64_t p_bits;
-    std::memcpy(&p_bits, &options_.sample_probability, sizeof(p_bits));
+    std::memcpy(&p_bits, &o.sample_probability, sizeof(p_bits));
     fp.Mix(p_bits);
-    fp.Mix(static_cast<std::uint64_t>(options_.aggregation));
-    fp.Mix(options_.median_groups);
-    return fp.value();
+    fp.Mix(static_cast<std::uint64_t>(o.aggregation));
+    fp.Mix(o.median_groups);
+  }
+};
+
+template <>
+struct CounterTraits<baseline::BuriolCounter> {
+  using Options = baseline::BuriolCounter::Options;
+  static constexpr const char* kName = "buriol";
+};
+
+template <>
+struct CounterTraits<baseline::ColorfulTriangleCounter> {
+  using Options = baseline::ColorfulTriangleCounter::Options;
+  static constexpr const char* kName = "colorful";
+};
+
+template <>
+struct CounterTraits<baseline::JowhariGhodsiCounter> {
+  using Options = baseline::JowhariGhodsiCounter::Options;
+  static constexpr const char* kName = "jg";
+};
+
+template <>
+struct CounterTraits<baseline::FirstEdgeExhaustiveCounter> {
+  using Options = baseline::FirstEdgeExhaustiveCounter::Options;
+  static constexpr const char* kName = "first-edge";
+};
+
+/// The one adapter: see the file comment for what it detects.
+template <typename Counter>
+class CounterEstimator final : public StreamingEstimator {
+ public:
+  using Traits = CounterTraits<Counter>;
+  using Options = typename Traits::Options;
+
+  explicit CounterEstimator(const Options& options)
+      : options_(options), counter_(std::make_unique<Counter>(options)) {}
+
+  const char* name() const override { return Traits::kName; }
+  /// Forwards the source traits so the sharded counter's multi-node
+  /// staging can tell stable zero-copy views from engine staging buffers.
+  void BeginStream(const StreamSourceTraits& traits) override {
+    if constexpr (requires { counter_->SetSourceTraits(true, true); }) {
+      counter_->SetSourceTraits(traits.stable_views,
+                                traits.replicate_stable_views);
+    }
+  }
+  void ProcessEdges(std::span<const Edge> edges) override {
+    if constexpr (requires { counter_->AbsorbBatchView(edges); }) {
+      counter_->AbsorbBatchView(edges);
+    } else if constexpr (requires { counter_->ProcessEdges(edges); }) {
+      counter_->ProcessEdges(edges);
+    } else {
+      for (const Edge& e : edges) counter_->ProcessEvent(e, EdgeOp::kInsert);
+    }
+  }
+  bool supports_deletions() const override { return kTurnstile; }
+  void ProcessEvents(const EventBatchView& view) override {
+    if constexpr (kTurnstile) {
+      counter_->ProcessEvents(view);
+    } else {
+      ProcessEdges(view.edges);
+    }
+  }
+  void Flush() override {
+    if constexpr (requires { counter_->Flush(); }) counter_->Flush();
+  }
+  void Reset() override { counter_ = std::make_unique<Counter>(options_); }
+  /// Turnstile counters count events (inserts + deletes), matching how
+  /// the session and checkpoint cadence count delivered batch entries.
+  std::uint64_t edges_processed() const override {
+    if constexpr (requires { counter_->edges_processed(); }) {
+      return counter_->edges_processed();
+    } else if constexpr (requires { counter_->events_seen(); }) {
+      return counter_->events_seen();
+    } else {
+      return counter_->edges_seen();
+    }
+  }
+  double EstimateTriangles() override { return counter_->EstimateTriangles(); }
+  bool has_wedge_estimates() const override { return kWedges; }
+  double EstimateWedges() override {
+    if constexpr (kWedges) return counter_->EstimateWedges();
+    return 0.0;
+  }
+  double EstimateTransitivity() override {
+    if constexpr (kWedges) return counter_->EstimateTransitivity();
+    return 0.0;
+  }
+  std::size_t preferred_batch_size() const override {
+    if constexpr (requires { counter_->batch_size(); }) {
+      return counter_->batch_size();
+    } else if constexpr (requires { Traits::kPerEdgeBatch; }) {
+      return Traits::kPerEdgeBatch;
+    }
+    return 0;
+  }
+  bool estimates_nonperturbing() const override {
+    if constexpr (requires { counter_->pending_edges(); }) {
+      return counter_->pending_edges() == 0;
+    }
+    return true;
+  }
+  std::size_t approx_memory_bytes() const override {
+    if constexpr (requires { counter_->MemoryBytes(); }) {
+      return counter_->MemoryBytes();
+    } else if constexpr (requires { Traits::MemoryBytes(options_); }) {
+      return Traits::MemoryBytes(options_);
+    }
+    return 0;
+  }
+  bool checkpointable() const override { return kCheckpointable; }
+  std::uint64_t config_fingerprint() const override {
+    if constexpr (kCheckpointable) {
+      ckpt::ConfigFingerprint fp;
+      fp.Mix(name());
+      Traits::MixConfig(fp, options_, *counter_);
+      return fp.value();
+    }
+    return 0;
   }
   Status SaveState(ckpt::ByteSink& sink) override {
-    counter_->SaveState(sink);
-    return Status::Ok();
+    if constexpr (kCheckpointable) {
+      counter_->SaveState(sink);
+      return Status::Ok();
+    }
+    return StreamingEstimator::SaveState(sink);
   }
   Status RestoreState(ckpt::ByteSource& source) override {
-    return counter_->RestoreState(source);
+    if constexpr (kCheckpointable) return counter_->RestoreState(source);
+    return StreamingEstimator::RestoreState(source);
   }
 
-  core::DynamicTriangleCounter& counter() { return *counter_; }
+  Counter& counter() { return *counter_; }
 
  private:
-  core::DynamicCounterOptions options_;
-  std::unique_ptr<core::DynamicTriangleCounter> counter_;
+  static constexpr bool kTurnstile =
+      requires(Counter& c, const EventBatchView& view) {
+        c.ProcessEvents(view);
+      };
+  static constexpr bool kWedges = requires(Counter& c) {
+    c.EstimateWedges();
+    c.EstimateTransitivity();
+  };
+  static constexpr bool kCheckpointable =
+      requires(Counter& c, ckpt::ByteSink& sink, ckpt::ByteSource& source) {
+        c.SaveState(sink);
+        c.RestoreState(source);
+      };
+
+  Options options_;
+  std::unique_ptr<Counter> counter_;
 };
 
+/// Serial bulk neighborhood-sampling counter (Theorem 3.5).
+using BulkEstimator = CounterEstimator<core::TriangleCounter>;
+/// Estimator-sharded parallel neighborhood-sampling counter ("tsb", the
+/// repo's headline engine).
+using ParallelEstimator = CounterEstimator<core::ParallelTriangleCounter>;
+/// Sequence-based sliding-window counter (Sec. 5.2). Estimates describe
+/// the most recent window_size edges, not the whole stream.
+using SlidingWindowEstimator =
+    CounterEstimator<core::SlidingWindowTriangleCounter>;
+/// Hash-sampling turnstile counter (after Bulteau et al.,
+/// arXiv:1404.4696): the one estimator in the repo that absorbs delete
+/// events, estimating the live graph's triangle count.
+using DynamicEstimator = CounterEstimator<core::DynamicTriangleCounter>;
 /// Buriol et al. uniform-apex baseline (paper reference [5]).
-class BuriolStreamEstimator : public StreamingEstimator {
- public:
-  explicit BuriolStreamEstimator(const baseline::BuriolCounter::Options& o)
-      : options_(o), counter_(std::make_unique<baseline::BuriolCounter>(o)) {}
-
-  const char* name() const override { return "buriol"; }
-  void ProcessEdges(std::span<const Edge> edges) override {
-    counter_->ProcessEdges(edges);
-  }
-  void Flush() override {}
-  void Reset() override {
-    counter_ = std::make_unique<baseline::BuriolCounter>(options_);
-  }
-  std::uint64_t edges_processed() const override {
-    return counter_->edges_processed();
-  }
-  double EstimateTriangles() override { return counter_->EstimateTriangles(); }
-
-  baseline::BuriolCounter& counter() { return *counter_; }
-
- private:
-  baseline::BuriolCounter::Options options_;
-  std::unique_ptr<baseline::BuriolCounter> counter_;
-};
-
+using BuriolStreamEstimator = CounterEstimator<baseline::BuriolCounter>;
 /// Pagh-Tsourakakis colorful sparsification baseline (reference [16]).
-class ColorfulStreamEstimator : public StreamingEstimator {
- public:
-  explicit ColorfulStreamEstimator(
-      const baseline::ColorfulTriangleCounter::Options& o)
-      : options_(o),
-        counter_(std::make_unique<baseline::ColorfulTriangleCounter>(o)) {}
-
-  const char* name() const override { return "colorful"; }
-  void ProcessEdges(std::span<const Edge> edges) override {
-    counter_->ProcessEdges(edges);
-  }
-  void Flush() override {}
-  void Reset() override {
-    counter_ = std::make_unique<baseline::ColorfulTriangleCounter>(options_);
-  }
-  std::uint64_t edges_processed() const override {
-    return counter_->edges_processed();
-  }
-  double EstimateTriangles() override { return counter_->EstimateTriangles(); }
-
-  baseline::ColorfulTriangleCounter& counter() { return *counter_; }
-
- private:
-  baseline::ColorfulTriangleCounter::Options options_;
-  std::unique_ptr<baseline::ColorfulTriangleCounter> counter_;
-};
-
+using ColorfulStreamEstimator =
+    CounterEstimator<baseline::ColorfulTriangleCounter>;
 /// Jowhari-Ghodsi blind-slot baseline (reference [9]).
-class JowhariGhodsiStreamEstimator : public StreamingEstimator {
- public:
-  explicit JowhariGhodsiStreamEstimator(
-      const baseline::JowhariGhodsiCounter::Options& o)
-      : options_(o),
-        counter_(std::make_unique<baseline::JowhariGhodsiCounter>(o)) {}
-
-  const char* name() const override { return "jg"; }
-  void ProcessEdges(std::span<const Edge> edges) override {
-    counter_->ProcessEdges(edges);
-  }
-  void Flush() override {}
-  void Reset() override {
-    counter_ = std::make_unique<baseline::JowhariGhodsiCounter>(options_);
-  }
-  std::uint64_t edges_processed() const override {
-    return counter_->edges_processed();
-  }
-  double EstimateTriangles() override { return counter_->EstimateTriangles(); }
-
-  baseline::JowhariGhodsiCounter& counter() { return *counter_; }
-
- private:
-  baseline::JowhariGhodsiCounter::Options options_;
-  std::unique_ptr<baseline::JowhariGhodsiCounter> counter_;
-};
-
+using JowhariGhodsiStreamEstimator =
+    CounterEstimator<baseline::JowhariGhodsiCounter>;
 /// Idealized O(Δ)-space first-edge exhaustive baseline.
-class FirstEdgeStreamEstimator : public StreamingEstimator {
- public:
-  explicit FirstEdgeStreamEstimator(
-      const baseline::FirstEdgeExhaustiveCounter::Options& o)
-      : options_(o),
-        counter_(std::make_unique<baseline::FirstEdgeExhaustiveCounter>(o)) {}
-
-  const char* name() const override { return "first-edge"; }
-  void ProcessEdges(std::span<const Edge> edges) override {
-    counter_->ProcessEdges(edges);
-  }
-  void Flush() override {}
-  void Reset() override {
-    counter_ = std::make_unique<baseline::FirstEdgeExhaustiveCounter>(options_);
-  }
-  std::uint64_t edges_processed() const override {
-    return counter_->edges_processed();
-  }
-  double EstimateTriangles() override { return counter_->EstimateTriangles(); }
-
-  baseline::FirstEdgeExhaustiveCounter& counter() { return *counter_; }
-
- private:
-  baseline::FirstEdgeExhaustiveCounter::Options options_;
-  std::unique_ptr<baseline::FirstEdgeExhaustiveCounter> counter_;
-};
+using FirstEdgeStreamEstimator =
+    CounterEstimator<baseline::FirstEdgeExhaustiveCounter>;
 
 /// Cross-algorithm configuration for the factory. Fields irrelevant to the
 /// selected algorithm are ignored; fields an algorithm *requires* in
@@ -440,7 +328,6 @@ struct EstimatorConfig {
   std::uint32_t median_groups = 12;
   /// tsb only: shared batch size w (0 = 8r/threads).
   std::size_t batch_size = 0;
-  bool use_pipeline = true;
   /// tsb/bulk: vector ISA for the lane sweeps (--simd). Bit-identical
   /// estimates under every choice; validated against the host CPU by
   /// MakeEstimator.

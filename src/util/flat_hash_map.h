@@ -126,6 +126,12 @@ class FlatHashMap {
   /// Bytes of heap memory held by the table.
   std::size_t MemoryBytes() const { return slots_.size() * sizeof(Slot); }
 
+  /// Bytes a table sized for `entries` holds, by the same rule Reserve()
+  /// and Reset() size it with.
+  static std::size_t BytesFor(std::size_t entries) {
+    return CapacityFor(entries) * sizeof(Slot);
+  }
+
   /// Test-only: jumps the epoch counter so the wrap path of Clear() can be
   /// exercised without 2^32 real clears. Discards all live entries.
   void SetEpochForTesting(std::uint32_t epoch) {

@@ -1,6 +1,6 @@
-// Tests for the estimator-sharded parallel counter: exact equivalence of
-// semantics with the serial engine (same invariants, same accuracy),
-// determinism per (seed, threads), and thread-count robustness.
+// Tests for the estimator-sharded parallel counter: bit-identity with its
+// shards run serially (SerialShards), the same accuracy as the serial
+// engine, determinism per (seed, threads), and thread-count robustness.
 
 #include <algorithm>
 #include <cmath>
@@ -111,31 +111,26 @@ TEST(ParallelCounterTest, TransitivityMatchesSerial) {
   EXPECT_NEAR(counter.EstimateTransitivity(), kappa, 0.15 * kappa);
 }
 
-TEST(ParallelCounterTest, PipelinedBitIdenticalToSpawnPerBatch) {
-  // The pooled/pipelined substrate must be a pure scheduling change: for a
-  // fixed (seed, num_threads) the estimates are bit-identical to the
-  // legacy spawn-a-thread-per-batch path, across thread counts (including
+TEST(ParallelCounterTest, PipelinedBitIdenticalToSerialShards) {
+  // The pooled pipeline must be a pure scheduling change: for a fixed
+  // (seed, num_threads) the estimates are bit-identical to the shards run
+  // one after another on this thread, across thread counts (including
   // more threads than this machine has cores).
   const auto stream =
       stream::ShuffleStreamOrder(gen::GnmRandom(70, 600, 11), 31);
   for (std::uint32_t threads : {1u, 2u, 8u}) {
-    ParallelCounterOptions pipelined = POptions(12000, threads, 424242);
-    pipelined.use_pipeline = true;
-    pipelined.batch_size = 500;  // several batches plus a partial tail
-    ParallelCounterOptions spawned = pipelined;
-    spawned.use_pipeline = false;
-    ParallelTriangleCounter a(pipelined);
-    ParallelTriangleCounter b(spawned);
-    EXPECT_TRUE(a.pipelined());
-    EXPECT_FALSE(b.pipelined());
-    a.ProcessEdges(stream.edges());
-    b.ProcessEdges(stream.edges());
-    EXPECT_EQ(a.EstimateTriangles(), b.EstimateTriangles())
+    ParallelCounterOptions opt = POptions(12000, threads, 424242);
+    opt.batch_size = 500;  // several batches plus a partial tail
+    ParallelTriangleCounter pooled(opt);
+    SerialShards serial(opt);
+    pooled.ProcessEdges(stream.edges());
+    serial.Absorb(stream.edges());
+    EXPECT_EQ(pooled.EstimateTriangles(), serial.EstimateTriangles())
         << threads << " threads";
-    EXPECT_EQ(a.EstimateWedges(), b.EstimateWedges()) << threads
-                                                      << " threads";
-    EXPECT_EQ(a.EstimateTransitivity(), b.EstimateTransitivity());
-    EXPECT_EQ(a.edges_processed(), b.edges_processed());
+    EXPECT_EQ(pooled.EstimateWedges(), serial.EstimateWedges())
+        << threads << " threads";
+    EXPECT_EQ(pooled.EstimateTransitivity(), serial.EstimateTransitivity());
+    EXPECT_EQ(pooled.edges_processed(), stream.size());
   }
 }
 
@@ -159,25 +154,24 @@ TEST(ParallelCounterTest, PipelinedDeterministicAcrossRunsAndPushShapes) {
 }
 
 TEST(ParallelCounterTest, FlushIsAFullBarrierMidStream) {
-  // Estimates read mid-stream (forcing a flush of a partial batch) must
-  // match between substrates too, and continuing afterwards must as well.
+  // An estimate read mid-stream flushes the partial batch as a batch of
+  // its own; the serial shards see the same boundaries, before and after
+  // the stream continues.
   const auto stream =
       stream::ShuffleStreamOrder(gen::GnmRandom(40, 300, 3), 17);
-  ParallelCounterOptions pipelined = POptions(6000, 2, 7);
-  pipelined.batch_size = 128;
-  ParallelCounterOptions spawned = pipelined;
-  spawned.use_pipeline = false;
-  ParallelTriangleCounter a(pipelined);
-  ParallelTriangleCounter b(spawned);
+  ParallelCounterOptions opt = POptions(6000, 2, 7);
+  opt.batch_size = 128;
+  ParallelTriangleCounter pooled(opt);
+  SerialShards serial(opt);
   const std::span<const Edge> edges(stream.edges());
   const std::size_t half = edges.size() / 2;  // not a batch multiple
-  a.ProcessEdges(edges.subspan(0, half));
-  b.ProcessEdges(edges.subspan(0, half));
-  EXPECT_EQ(a.EstimateTriangles(), b.EstimateTriangles());
-  a.ProcessEdges(edges.subspan(half));
-  b.ProcessEdges(edges.subspan(half));
-  EXPECT_EQ(a.EstimateTriangles(), b.EstimateTriangles());
-  EXPECT_EQ(a.EstimateWedges(), b.EstimateWedges());
+  pooled.ProcessEdges(edges.subspan(0, half));
+  serial.Absorb(edges.subspan(0, half));
+  EXPECT_EQ(pooled.EstimateTriangles(), serial.EstimateTriangles());
+  pooled.ProcessEdges(edges.subspan(half));
+  serial.Absorb(edges.subspan(half));
+  EXPECT_EQ(pooled.EstimateTriangles(), serial.EstimateTriangles());
+  EXPECT_EQ(pooled.EstimateWedges(), serial.EstimateWedges());
 }
 
 /// A fake two-node topology on whatever cpus this machine has, so the
@@ -194,8 +188,8 @@ Topology FakeTwoNodeTopology() {
 
 TEST(ParallelCounterTest, PinnedBitIdenticalToUnpinned) {
   // Pinning is placement only: for a fixed (seed, num_threads) the
-  // estimates must match the unpinned pipeline and the legacy spawn path
-  // to the last bit, on any topology.
+  // estimates must match the unpinned pipeline to the last bit, on any
+  // topology.
   const auto stream =
       stream::ShuffleStreamOrder(gen::GnmRandom(70, 600, 11), 31);
   for (std::uint32_t threads : {1u, 2u, 8u}) {
@@ -203,20 +197,14 @@ TEST(ParallelCounterTest, PinnedBitIdenticalToUnpinned) {
     unpinned.batch_size = 500;
     ParallelCounterOptions pinned = unpinned;
     pinned.topology.pin_threads = true;
-    ParallelCounterOptions spawned = unpinned;
-    spawned.use_pipeline = false;
     ParallelTriangleCounter a(unpinned);
     ParallelTriangleCounter b(pinned);
-    ParallelTriangleCounter c(spawned);
     a.ProcessEdges(stream.edges());
     b.ProcessEdges(stream.edges());
-    c.ProcessEdges(stream.edges());
     EXPECT_EQ(a.EstimateTriangles(), b.EstimateTriangles())
         << threads << " threads";
     EXPECT_EQ(a.EstimateWedges(), b.EstimateWedges()) << threads
                                                       << " threads";
-    EXPECT_EQ(b.EstimateTriangles(), c.EstimateTriangles());
-    EXPECT_EQ(b.EstimateWedges(), c.EstimateWedges());
   }
 }
 

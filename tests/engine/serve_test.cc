@@ -21,6 +21,7 @@
 #include "engine/stream_engine.h"
 #include "gen/churn.h"
 #include "gen/erdos_renyi.h"
+#include "gen/holme_kim.h"
 #include "graph/csr.h"
 #include "graph/edge_list.h"
 #include "graph/exact.h"
@@ -28,6 +29,7 @@
 #include "stream/binary_io.h"
 #include "stream/edge_stream.h"
 #include "stream/socket_stream.h"
+#include "tests/core/core_test_util.h"
 
 namespace tristream {
 namespace engine {
@@ -348,6 +350,55 @@ TEST(ServeTest, MemoryBudgetRefusesInsteadOfOoming) {
 /// Connect/disconnect storm: clients that vanish instantly, mid-header,
 /// and mid-frame. The server must reap every session, release every
 /// memory charge, and still run a healthy session to completion after.
+TEST(ServeTest, FreshSessionChargeCoversSteadyStateFootprint) {
+  // Admission charges a session before its first edge, so the estimator's
+  // charge must already cover what its batch tables grow to: at least the
+  // bytes allocated after several full batches, and at most twice that.
+  const auto el = stream::ShuffleStreamOrder(
+      gen::HolmeKim(32768, 4, 0.5, 3), 5);
+  const std::span<const Edge> edges(el.edges());
+  struct Case {
+    const char* algo;
+    std::uint64_t r;
+    std::uint32_t threads;
+    std::size_t batch;  // 0 = the counter's default w = 8r/threads
+  };
+  for (const Case& c : {Case{"bulk", 1 << 17, 1, 8192},
+                        Case{"bulk", 1 << 12, 1, 0},
+                        Case{"tsb", 1 << 12, 1, 0},
+                        Case{"tsb", 1 << 12, 2, 0}}) {
+    EstimatorConfig config;
+    config.num_estimators = c.r;
+    config.num_threads = c.threads;
+    config.batch_size = c.batch;
+    auto made = MakeEstimator(c.algo, config);
+    ASSERT_TRUE(made.ok()) << made.status();
+    const std::size_t fresh = (*made)->approx_memory_bytes();
+    const std::size_t w = (*made)->preferred_batch_size();
+    const auto full_batches = edges.first(edges.size() / w * w);
+    ASSERT_GE(full_batches.size(), 3 * w);
+    std::size_t allocated = 0;
+    if (auto* bulk = dynamic_cast<BulkEstimator*>(made->get())) {
+      bulk->ProcessEdges(full_batches);
+      const auto stats = bulk->counter().ApproxMemoryUsage();
+      allocated = stats.estimator_bytes + stats.batch_scratch_bytes;
+    } else {
+      // The sharded counter's shards, fed the same batches, plus its two
+      // fill buffers.
+      core::ParallelCounterOptions popt;
+      popt.num_estimators = c.r;
+      popt.num_threads = c.threads;
+      core::SerialShards shards(popt);
+      shards.Absorb(full_batches);
+      allocated = shards.AllocatedBytes() + 2 * w * sizeof(Edge);
+    }
+    EXPECT_GE(fresh, allocated) << c.algo << " r=" << c.r
+                                << " threads=" << c.threads;
+    EXPECT_LE(fresh, 2 * allocated) << c.algo << " r=" << c.r
+                                    << " threads=" << c.threads;
+  }
+}
+
 TEST(ServeTest, ChurnStormLeavesNoLeakedSessions) {
   const auto el = gen::GnmRandom(200, 2500, 19);
   ServeOptions options = BaseOptions();

@@ -20,6 +20,7 @@
 #include "stream/edge_stream.h"
 #include "stream/mmap_io.h"
 #include "stream/text_io.h"
+#include "tests/core/core_test_util.h"
 
 namespace tristream {
 namespace stream {
@@ -451,32 +452,29 @@ TEST(IngestParityTest, MedianOfMeansAlsoBitIdenticalAcrossPaths) {
   std::remove(path.c_str());
 }
 
-TEST(IngestParityTest, PipelineAndSpawnAgreeUnderBothAggregations) {
-  // The shard-local aggregation combine must be substrate-independent:
-  // pipelined and spawn-per-batch runs fold the same partials the same
-  // way, for the mean and the median-of-means rule alike.
+TEST(IngestParityTest, ShardedMatchesSerialShardsUnderBothAggregations) {
+  // The shard-local aggregation combine must fold the shards' partials
+  // into exactly the statistic of their concatenated estimator values,
+  // for the mean and the median-of-means rule alike.
   const auto el = gen::GnmRandom(120, 1500, 24);
   for (const auto aggregation :
        {core::Aggregation::kMean, core::Aggregation::kMedianOfMeans}) {
-    core::ParallelCounterOptions popt;
-    popt.num_estimators = 5000;
-    popt.num_threads = 1;
-    popt.seed = 99;
-    popt.aggregation = aggregation;
-    core::ParallelTriangleCounter parallel(popt);
-    parallel.ProcessEdges(el.edges());
+    for (const std::uint32_t threads : {1u, 3u}) {
+      core::ParallelCounterOptions popt;
+      popt.num_estimators = 5000;
+      popt.num_threads = threads;
+      popt.seed = 99;
+      popt.aggregation = aggregation;
+      core::ParallelTriangleCounter parallel(popt);
+      parallel.ProcessEdges(el.edges());
+      core::SerialShards serial(popt);
+      serial.Absorb(el.edges());
 
-    // Reconstruct the single shard's exact configuration: the parallel
-    // wrapper derives it deterministically from (seed, threads).
-    core::ParallelCounterOptions spawn = popt;
-    spawn.use_pipeline = false;
-    core::ParallelTriangleCounter legacy(spawn);
-    legacy.ProcessEdges(el.edges());
-
-    EXPECT_EQ(parallel.EstimateTriangles(), legacy.EstimateTriangles());
-    EXPECT_EQ(parallel.EstimateWedges(), legacy.EstimateWedges());
-    EXPECT_EQ(parallel.EstimateTransitivity(),
-              legacy.EstimateTransitivity());
+      EXPECT_EQ(parallel.EstimateTriangles(), serial.EstimateTriangles());
+      EXPECT_EQ(parallel.EstimateWedges(), serial.EstimateWedges());
+      EXPECT_EQ(parallel.EstimateTransitivity(),
+                serial.EstimateTransitivity());
+    }
   }
 }
 

@@ -98,7 +98,7 @@ int Usage() {
       "           without running any estimator; works on text lists too.\n"
       "  stats    --input FILE\n"
       "  count    --input FILE [--algo A] [--estimators N] [--seed N]\n"
-      "           [--batch W] [--autotune] [--threads T] [--pipeline 0|1]\n"
+      "           [--batch W] [--autotune] [--threads T]\n"
       "           [--pin 0|1] [--numa auto|off] [--numa-replicate]\n"
       "           [--simd auto|off|avx2|avx512]\n"
       "           [--mmap 0|1] [--median-of-means]\n"
@@ -534,9 +534,6 @@ int CmdCount(const std::map<std::string, std::string>& flags) {
       static_cast<std::uint32_t>(FlagU64(flags, "threads", 1));
   config.seed = FlagU64(flags, "seed", 1);
   config.batch_size = static_cast<std::size_t>(FlagU64(flags, "batch", 0));
-  // --pipeline 0 selects the legacy spawn-per-batch substrate (estimates
-  // are bit-identical; only throughput differs).
-  config.use_pipeline = FlagU64(flags, "pipeline", 1) != 0;
   config.num_vertices =
       static_cast<VertexId>(FlagU64(flags, "vertices", 0));
   config.max_degree_bound = FlagU64(flags, "max-degree", 0);
@@ -692,10 +689,8 @@ int CmdCount(const std::map<std::string, std::string>& flags) {
   if (auto* tsb =
           dynamic_cast<engine::ParallelEstimator*>(estimator->get())) {
     char buf[96];
-    std::snprintf(buf, sizeof(buf), ", %u shard(s) on %zu node(s), %s%s",
+    std::snprintf(buf, sizeof(buf), ", %u shard(s) on %zu node(s)%s",
                   tsb->counter().num_shards(), tsb->counter().num_nodes(),
-                  tsb->counter().pipelined() ? "pipelined"
-                                             : "spawn-per-batch",
                   tsb->counter().pinned() ? ", pinned" : "");
     substrate = buf;
   }
