@@ -1,0 +1,124 @@
+// The CLI's flag contract: a command refuses every flag it does not read
+// -- a typo ("--thread") or another command's flag -- with a diagnostic
+// naming the flag and exit code 2, instead of running a different job
+// than the one asked for. Runs the real tristream_cli binary from this
+// test's build directory (build it too: `cmake --build build`).
+
+#include <sys/wait.h>
+#include <unistd.h>
+
+#include <cstdio>
+#include <fstream>
+#include <iterator>
+#include <string>
+#include <vector>
+
+#include "gen/erdos_renyi.h"
+#include "gtest/gtest.h"
+#include "stream/binary_io.h"
+
+namespace tristream {
+namespace {
+
+std::string CliPath() {
+  char buffer[4096];
+  const ssize_t n = ::readlink("/proc/self/exe", buffer, sizeof(buffer) - 1);
+  if (n <= 0) return {};
+  const std::string self(buffer, static_cast<std::size_t>(n));
+  const std::string cli = self.substr(0, self.find_last_of('/')) +
+                          "/tristream_cli";
+  return ::access(cli.c_str(), X_OK) == 0 ? cli : std::string();
+}
+
+struct CliRun {
+  int exit_code = -1;
+  std::string stderr_text;
+};
+
+/// Runs tristream_cli with `args`, stdout discarded, and waits for it.
+CliRun RunCli(const std::string& cli, std::vector<std::string> args) {
+  const std::string err_path =
+      std::string(::testing::TempDir()) + "/cli_flags_stderr";
+  args.insert(args.begin(), cli);
+  std::vector<char*> argv;
+  for (std::string& a : args) argv.push_back(a.data());
+  argv.push_back(nullptr);
+  CliRun run;
+  const pid_t pid = ::fork();
+  if (pid == 0) {
+    if (std::freopen("/dev/null", "w", stdout) == nullptr ||
+        std::freopen(err_path.c_str(), "w", stderr) == nullptr) {
+      _exit(127);
+    }
+    ::execv(argv[0], argv.data());
+    _exit(127);
+  }
+  int status = 0;
+  if (pid < 0 || ::waitpid(pid, &status, 0) != pid) return run;
+  if (WIFEXITED(status)) run.exit_code = WEXITSTATUS(status);
+  std::ifstream in(err_path);
+  run.stderr_text.assign(std::istreambuf_iterator<char>(in),
+                         std::istreambuf_iterator<char>());
+  return run;
+}
+
+class CliFlagsTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    cli_ = CliPath();
+    if (cli_.empty()) {
+      GTEST_SKIP() << "tristream_cli not built next to this test";
+    }
+    input_ = std::string(::testing::TempDir()) + "/cli_flags_input.tris";
+    ASSERT_TRUE(
+        stream::WriteBinaryEdges(input_, gen::GnmRandom(200, 1500, 4)).ok());
+  }
+  void TearDown() override {
+    if (!input_.empty()) std::remove(input_.c_str());
+  }
+
+  /// Expects `args` to be refused with exit 2 and `flag` named on stderr.
+  void ExpectRefused(const std::vector<std::string>& args,
+                     const std::string& flag) {
+    const CliRun run = RunCli(cli_, args);
+    EXPECT_EQ(run.exit_code, 2) << args[0] << " " << flag;
+    EXPECT_NE(run.stderr_text.find("does not take flag " + flag),
+              std::string::npos)
+        << run.stderr_text;
+  }
+
+  std::string cli_;
+  std::string input_;
+};
+
+TEST_F(CliFlagsTest, CountRefusesMisspelledFlags) {
+  ExpectRefused({"count", "--input", input_, "--estimator", "64",
+                 "--threads", "2"},
+                "--estimator");
+  ExpectRefused({"count", "--input", input_, "--estimators", "64",
+                 "--thread", "2"},
+                "--thread");
+}
+
+TEST_F(CliFlagsTest, RemovedAndForeignFlagsAreRefused) {
+  ExpectRefused({"count", "--input", input_, "--pipeline", "0"},
+                "--pipeline");
+  ExpectRefused({"count", "--input", input_, "--workers", "2"}, "--workers");
+  ExpectRefused({"stats", "--input", input_, "--estimators", "64"},
+                "--estimators");
+  ExpectRefused({"sample", "--input", input_, "--max-degree", "50",
+                 "--threads", "2"},
+                "--threads");
+}
+
+TEST_F(CliFlagsTest, FlagsTheCommandReadsAreAccepted) {
+  const CliRun run = RunCli(
+      cli_, {"count", "--input", input_, "--estimators", "256", "--threads",
+             "2", "--seed", "3", "--batch", "512", "--pin", "0", "--numa",
+             "off", "--simd", "off", "--mmap", "0", "--median-of-means"});
+  EXPECT_EQ(run.exit_code, 0) << run.stderr_text;
+  EXPECT_EQ(RunCli(cli_, {"stats", "--input", input_}).exit_code, 0);
+}
+
+}  // namespace
+}  // namespace tristream

@@ -51,6 +51,7 @@
 #include <cstring>
 #include <limits>
 #include <map>
+#include <set>
 #include <span>
 #include <string>
 #include <vector>
@@ -188,6 +189,38 @@ bool ParseSimdFlagInto(const std::map<std::string, std::string>& flags,
 /// the sample command's -k).
 std::string FlagSpelling(const std::string& name) {
   return name == "k" ? "-k" : "--" + name;
+}
+
+/// The flags each command reads. Any other flag is a typo or belongs to
+/// another command; ignoring it would silently run a different job than
+/// the one asked for.
+const std::map<std::string, std::set<std::string>>& CommandFlags() {
+  static const std::map<std::string, std::set<std::string>> kFlags = {
+      {"generate",
+       {"dataset", "output", "scale", "seed", "churn", "churn-schedule",
+        "churn-window"}},
+      {"inspect", {"input"}},
+      {"stats", {"input"}},
+      {"count",
+       {"input", "algo", "estimators", "seed", "batch", "autotune",
+        "threads", "pin", "numa", "numa-replicate", "simd", "mmap",
+        "median-of-means", "checkpoint", "checkpoint-every", "resume",
+        "vertices", "max-degree", "colors", "groups", "sample-prob"}},
+      {"window", {"input", "window", "estimators", "seed"}},
+      {"live", {"listen", "window", "estimators", "seed", "report"}},
+      {"serve",
+       {"listen", "algo", "estimators", "seed", "threads", "batch", "simd",
+        "workers", "max-sessions", "memory-budget-mb", "queue-capacity",
+        "idle-timeout-ms", "accepts", "window", "vertices", "max-degree",
+        "colors", "groups", "sample-prob", "checkpoint-dir",
+        "checkpoint-every", "checkpoint-sync-every"}},
+      {"feed",
+       {"connect", "input", "frame", "query-every", "stream-id", "retry",
+        "chaos-kill-after"}},
+      {"sample", {"input", "k", "max-degree", "estimators", "seed"}},
+      {"convert", {"input", "output"}},
+  };
+  return kFlags;
 }
 
 /// Flags that take no value.
@@ -1113,6 +1146,16 @@ int main(int argc, char** argv) {
     return CmdInspect(flags);
   }
   const auto flags = ParseFlags(argc, argv, 2);
+  if (const auto known = CommandFlags().find(command);
+      known != CommandFlags().end()) {
+    for (const auto& [name, value] : flags) {
+      if (known->second.count(name) == 0) {
+        std::fprintf(stderr, "%s does not take flag %s\n", command.c_str(),
+                     FlagSpelling(name).c_str());
+        return Usage();
+      }
+    }
+  }
   if (command == "inspect") return CmdInspect(flags);
   if (command == "generate") return CmdGenerate(flags);
   if (command == "stats") return CmdStats(flags);
