@@ -13,7 +13,6 @@
 // The schedule itself is pure bookkeeping; the injection wrappers live
 // next to their seams:
 //   * stream seam  -- fault/faulty_stream.h  (FaultyEdgeStream)
-//   * socket seam  -- fault/socket_faults.h  (torn frames, hard resets)
 //   * fs seam      -- ckpt/checkpoint.h      (SetPersistFaultHookForTesting)
 
 #ifndef TRISTREAM_FAULT_FAULT_H_

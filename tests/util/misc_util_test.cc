@@ -1,4 +1,4 @@
-// Tests for status, reservoir, histogram, timer, and logging.
+// Tests for status, histogram, timer, and logging.
 
 #include <chrono>
 #include <cmath>
@@ -10,11 +10,8 @@
 #include "gtest/gtest.h"
 #include "util/histogram.h"
 #include "util/logging.h"
-#include "util/reservoir.h"
-#include "util/rng.h"
 #include "util/status.h"
 #include "util/timer.h"
-#include "util/types.h"
 
 namespace tristream {
 namespace {
@@ -135,67 +132,6 @@ TEST(ResultTest, AssignOrReturnMovesValue) {
   int out = 0;
   ASSERT_TRUE(UnBox(&out).ok());
   EXPECT_EQ(out, 11);
-}
-
-// ------------------------------------------------------------- Reservoir
-
-TEST(ReservoirTest, EmptyInitially) {
-  ReservoirSlot<int> slot;
-  EXPECT_FALSE(slot.has_value());
-  EXPECT_EQ(slot.count(), 0u);
-}
-
-TEST(ReservoirTest, FirstOfferAlwaysTaken) {
-  Rng rng(1);
-  for (int trial = 0; trial < 20; ++trial) {
-    ReservoirSlot<int> slot;
-    EXPECT_TRUE(slot.Offer(trial, rng));
-    EXPECT_EQ(slot.value(), trial);
-  }
-}
-
-TEST(ReservoirTest, CountTracksOffers) {
-  Rng rng(2);
-  ReservoirSlot<int> slot;
-  for (int i = 0; i < 57; ++i) slot.Offer(i, rng);
-  EXPECT_EQ(slot.count(), 57u);
-}
-
-TEST(ReservoirTest, SampleIsUniform) {
-  // Offer 0..9; each should be held ~1/10 of the time. Chi-square bound.
-  Rng rng(3);
-  constexpr int kItems = 10;
-  constexpr int kTrials = 100000;
-  std::vector<int> held(kItems, 0);
-  for (int t = 0; t < kTrials; ++t) {
-    ReservoirSlot<int> slot;
-    for (int i = 0; i < kItems; ++i) slot.Offer(i, rng);
-    ++held[slot.value()];
-  }
-  const double expected = static_cast<double>(kTrials) / kItems;
-  double chi2 = 0.0;
-  for (int c : held) {
-    const double d = c - expected;
-    chi2 += d * d / expected;
-  }
-  EXPECT_LT(chi2, 35.0);  // 99.9% critical value for 9 dof is 27.9
-}
-
-TEST(ReservoirTest, ResetClears) {
-  Rng rng(4);
-  ReservoirSlot<int> slot;
-  slot.Offer(9, rng);
-  slot.Reset();
-  EXPECT_FALSE(slot.has_value());
-  EXPECT_EQ(slot.count(), 0u);
-}
-
-TEST(ReservoirTest, ForceSetInstallsState) {
-  ReservoirSlot<Edge> slot;
-  slot.ForceSet(Edge(3, 4), 17);
-  EXPECT_TRUE(slot.has_value());
-  EXPECT_EQ(slot.count(), 17u);
-  EXPECT_EQ(slot.value(), Edge(3, 4));
 }
 
 // ------------------------------------------------------------- Histogram
