@@ -111,7 +111,7 @@ int main() {
                instance.stream.size(),
                static_cast<unsigned long long>(
                    (instance.stream.size() + batch - 1) / batch));
-  std::fprintf(stderr, "%8s | %10s | %12s | %12s | %9s\n", "threads", "mode",
+  std::fprintf(stderr, "%8s | %10s | %12s | %12s | %11s\n", "threads", "mode",
                "seconds", "Medges/s", "vs 1 thread");
 
   std::vector<Measurement> results;
@@ -131,7 +131,7 @@ int main() {
                    threads);
     }
     for (const Measurement& m : {pooled, pinned}) {
-      std::fprintf(stderr, "%8u | %10s | %12.4f | %12.2f | %8.2fx\n",
+      std::fprintf(stderr, "%8u | %10s | %12.4f | %12.2f | %10.2fx\n",
                    m.threads, m.pinned ? "pinned" : "unpinned",
                    m.median_seconds, m.meps,
                    m.median_seconds > 0.0

@@ -44,8 +44,10 @@ std::size_t FilterBytes(int log2_bits) {
 
 // The batch tables' sizing rules, shared by ApplyBatch and
 // SteadyStateBytes. The lane-sweep Bloom filter runs only on batches small
-// against r, with 128 bits per edge; Q holds one entry and ~8 filter bits
-// per candidate lane, capped for pathological r.
+// against r, with 128 bits per edge; Q starts at kInitialClosers entries
+// and holds one entry and ~8 filter bits per candidate lane, capped for
+// pathological r.
+constexpr std::size_t kInitialClosers = 1024;
 bool UseBloomFilter(std::uint64_t w, std::uint64_t r) { return w * 8 <= r; }
 int BloomLog2Bits(std::uint64_t w) { return FilterLog2Bits(128 * w); }
 std::size_t CloserEntries(std::uint64_t candidates) {
@@ -138,7 +140,7 @@ TriangleCounter::TriangleCounter(const TriangleCounterOptions& options)
       r1_pos_(options.num_estimators, kInvalidEdgeIndex),
       c_(options.num_estimators, 0),
       r1_uv_(options.num_estimators, 0),
-      closers_(1024),
+      closers_(kInitialClosers),
       closer_chain_(options.num_estimators),
       draw2_(options.num_estimators, 0),
       replacers_(options.num_estimators, 0),
@@ -560,11 +562,10 @@ std::size_t TriangleCounter::SteadyStateBytes(std::uint64_t r,
   const std::size_t per_lane =
       sizeof(ColdState) + sizeof(EdgeIndex) + 3 * sizeof(std::uint64_t) +
       sizeof(CloserLink) + 3 * sizeof(std::uint32_t);
-  // Q starts at 1024 entries (the constructor) and grows with candidates.
   std::size_t bytes =
       r * per_lane + w * sizeof(Edge) + BatchIndex::BytesFor(w) +
       FlatHashMap<std::uint32_t>::BytesFor(
-          std::max<std::size_t>(1024, CloserEntries(r))) +
+          std::max(kInitialClosers, CloserEntries(r))) +
       FilterBytes(CloserLog2Bits(r));
   if (UseBloomFilter(w, r)) bytes += FilterBytes(BloomLog2Bits(w));
   return bytes;

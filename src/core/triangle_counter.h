@@ -252,7 +252,9 @@ class TriangleCounter {
   /// so it holds from construction on, before any batch table exists.
   static std::size_t SteadyStateBytes(std::uint64_t r, std::size_t w);
 
-  /// SteadyStateBytes at this counter's r and batch size.
+  /// SteadyStateBytes at this counter's r and batch size (for a
+  /// self-batching counter; the parallel wrapper sizes its shards at its
+  /// own w).
   std::size_t MemoryBytes() const {
     return SteadyStateBytes(cold_.size(), batch_size_);
   }

@@ -84,6 +84,7 @@ int Usage() {
   std::fprintf(
       stderr,
       "usage: tristream_cli <command> [flags]\n"
+      "a flag the command does not read is an error (exit 2)\n"
       "commands:\n"
       "  generate --dataset NAME --output FILE [--scale F] [--seed N]\n"
       "           [--churn F] [--churn-schedule mixed|tail|window]\n"
