@@ -210,9 +210,9 @@ class ParallelTriangleCounter {
 
   /// Dispatches an arbitrary view (a fill buffer or a mapped span) to all
   /// shards and returns as soon as the workers own it; the view must stay
-  /// valid until the next barrier. `replicate` stages the
-  /// view once per node first (multi-node topologies only), after which
-  /// the view itself is no longer referenced.
+  /// valid until the next barrier. `replicate` stages the view once per
+  /// node first (multi-node topologies only), after which the view itself
+  /// is no longer referenced.
   void DispatchView(std::span<const Edge> view, bool replicate);
 
   /// Blocks until no batch is in flight on the pool.

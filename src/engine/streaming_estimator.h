@@ -5,10 +5,10 @@
 // colorful counting, Jowhari–Ghodsi) under *identical* stream conditions:
 // same edge order, same batching, same ingest path. StreamingEstimator is
 // the contract that makes that comparison mechanical -- every triangle
-// estimator in the repo (the three core counters and the four baselines)
-// is adapted to this interface (engine/estimators.h) and driven by the
-// single checked engine::StreamEngine, instead of each counter owning its
-// own hand-rolled edge loop.
+// estimator in the repo (the four core counters and the four baselines)
+// is adapted to this interface by one template (engine/estimators.h) and
+// driven by the single checked engine::StreamEngine, instead of each
+// counter owning its own hand-rolled edge loop.
 //
 // Contract:
 //   * ProcessEdges(view) absorbs the next contiguous run of stream edges
