@@ -1,7 +1,7 @@
 // Parallel-substrate scaling sweep: ingest throughput of the sharded
-// counter's pooled pipeline at 1..8 threads, unpinned and with topology
-// pinning, at equal batch size. Speedups are stated against the unpinned
-// 1-thread run.
+// counter's pooled pipeline at 1..8 threads, unpinned and pinned (worker
+// k on the k-th allowed cpu), at equal batch size. Speedups are stated
+// against the unpinned 1-thread run.
 //
 // This is an engineering benchmark (no paper figure): it tracks the
 // per-batch substrate cost (wakeup, barrier, ingest/absorb overlap).
@@ -62,7 +62,7 @@ Measurement RunOne(const bench::DatasetInstance& instance, std::uint64_t r,
     options.num_threads = threads;
     options.seed = bench::BenchSeed() * 7919 + 13;  // fixed across modes
     options.batch_size = batch;
-    options.topology.pin_threads = pin;
+    options.pin_threads = pin;
     options.simd = simd;
     engine::ParallelEstimator estimator(options);
     WallTimer timer;

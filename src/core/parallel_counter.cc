@@ -23,16 +23,13 @@ ParallelTriangleCounter::ParallelTriangleCounter(
       std::min<std::uint64_t>(threads, options.num_estimators));
 
   // Derive per-shard seeds from the base seed so (seed, threads) pins the
-  // whole run. Shard options are fully computed up front because the
-  // shards themselves are constructed on their own workers below; the
-  // seed sequence is identical either way.
+  // whole run.
   Rng seeder(options.seed ^ (0x517a9dULL * threads));
   const std::uint64_t base = options.num_estimators / threads;
   const std::uint64_t remainder = options.num_estimators % threads;
-  std::vector<TriangleCounterOptions> shard_opts(threads);
   std::uint64_t first = 0;
   for (std::uint32_t t = 0; t < threads; ++t) {
-    TriangleCounterOptions& shard_opt = shard_opts[t];
+    TriangleCounterOptions shard_opt;
     shard_opt.num_estimators = base + (t < remainder ? 1 : 0);
     shard_opt.seed = seeder.Next();
     shard_opt.aggregation = options.aggregation;
@@ -41,10 +38,10 @@ ParallelTriangleCounter::ParallelTriangleCounter(
     // Shards never self-batch: this wrapper owns batching so that all
     // shards see identical batch boundaries.
     shard_opt.batch_size = std::numeric_limits<std::size_t>::max();
+    shards_.push_back(std::make_unique<TriangleCounter>(shard_opt));
     shard_first_.push_back(first);
     first += shard_opt.num_estimators;
   }
-  shards_.resize(threads);
   partials_.resize(threads);
   partial_groups_ = options.aggregation == Aggregation::kMedianOfMeans
                         ? options.median_groups
@@ -57,65 +54,19 @@ ParallelTriangleCounter::ParallelTriangleCounter(
   buffers_[0].reserve(batch_size_);
   buffers_[1].reserve(batch_size_);
 
-  // Plan slot -> (cpu, node). On a single node (the fallback everywhere
-  // topology information is absent or disabled) every slot maps to node 0
-  // and nothing below stages or pins.
-  const Topology topo = ResolveTopology(options.topology);
-  const auto plan = topo.PlanSlots(threads);
-  slot_node_.resize(threads);
-  for (std::uint32_t t = 0; t < threads; ++t) {
-    const int node = plan[t].node;
-    slot_node_[t] = node;
-    if (static_cast<std::size_t>(node) >= node_leader_.size()) {
-      node_leader_.resize(static_cast<std::size_t>(node) + 1, threads);
-    }
-    if (node_leader_[node] == threads) node_leader_[node] = t;
-  }
-  if (node_leader_.empty()) node_leader_.push_back(0);
-  node_views_.resize(node_leader_.size());
-
   ThreadPoolOptions pool_opts;
-  if (options.topology.pin_threads) {
-    pool_opts.pin_cpus.resize(threads, -1);
-    for (std::uint32_t t = 0; t < threads; ++t) {
-      pool_opts.pin_cpus[t] = plan[t].cpu;
-    }
-  }
+  if (options.pin_threads) pool_opts.pin_cpus = AffinityPinPlan(threads);
   pool_ = std::make_unique<ThreadPool>(threads, pool_opts);
-  all_pinned_ = options.topology.pin_threads;
+  all_pinned_ = options.pin_threads;
   for (std::uint32_t t = 0; t < threads && all_pinned_; ++t) {
     all_pinned_ = pool_->pinned(t);
   }
-
-  if (node_leader_.size() > 1) {
-    node_staging_.resize(node_leader_.size());
-    staging_capacity_ = batch_size_;
-  }
-  // Construction generation: shard k is built by worker k (after any
-  // pinning), so its estimator arrays and scratch tables are first-touched
-  // on the worker's own node. Node leaders also pre-touch their node's
-  // staging buffers for the same reason. The shard seeds were fixed
-  // above, so where construction runs cannot affect results.
-  pool_->Dispatch([this, &shard_opts](std::size_t slot) {
-    shards_[slot] = std::make_unique<TriangleCounter>(shard_opts[slot]);
-    const int node = slot_node_[slot];
-    if (!node_staging_.empty() && node_leader_[node] == slot) {
-      for (std::vector<Edge>& stage : node_staging_[node]) {
-        stage.resize(staging_capacity_);  // value-init commits pages on-node
-        stage.clear();                    // keeps the capacity
-      }
-    }
-  });
-  pool_->Wait();
-  // Publish the steady-state absorb task now: the construction lambda
-  // above captured stack locals and must not stay reachable through the
-  // pool once this constructor returns.
   PublishAbsorbTask();
 }
 
 void ParallelTriangleCounter::PublishAbsorbTask() {
   pool_->SetTask([this](std::size_t slot) {
-    shards_[slot]->ProcessEdges(node_views_[slot_node_[slot]]);
+    shards_[slot]->ProcessEdges(view_);
     shards_[slot]->Flush();
   });
   absorb_task_published_ = true;
@@ -135,14 +86,7 @@ std::size_t ParallelTriangleCounter::MemoryBytes() const {
     bytes += TriangleCounter::SteadyStateBytes(end - shard_first_[s],
                                                batch_size_);
   }
-  const std::size_t buffers = 2 + 2 * node_staging_.size();
-  return bytes + buffers * batch_size_ * sizeof(Edge);
-}
-
-void ParallelTriangleCounter::SetSourceTraits(bool stable_views,
-                                              bool replicate_stable_views) {
-  source_stable_views_ = stable_views;
-  replicate_stable_views_ = replicate_stable_views;
+  return bytes + 2 * batch_size_ * sizeof(Edge);
 }
 
 void ParallelTriangleCounter::ProcessEdge(const Edge& e) {
@@ -167,12 +111,7 @@ void ParallelTriangleCounter::AbsorbBatchView(std::span<const Edge> view) {
   // Dispatch any partially filled buffer first so previously pushed edges
   // keep their stream order ahead of the view's.
   if (!buffers_[fill_].empty()) DispatchFillBuffer();
-  if (view.empty()) return;
-  // Stable source views keep the zero-copy broadcast unless the caller
-  // opted into per-node replication; engine staging buffers (non-stable
-  // sources) are always worth staging per node, since their pages live on
-  // the ingest thread's node anyway.
-  DispatchView(view, !source_stable_views_ || replicate_stable_views_);
+  if (!view.empty()) DispatchView(view);
 }
 
 void ParallelTriangleCounter::Flush() {
@@ -181,59 +120,14 @@ void ParallelTriangleCounter::Flush() {
 }
 
 void ParallelTriangleCounter::DispatchFillBuffer() {
-  std::vector<Edge>& batch = buffers_[fill_];
-  // The fill buffer lives on the caller's node; on a multi-node topology
-  // stage it per node like any other caller-side buffer.
-  DispatchView(std::span<const Edge>(batch), /*replicate=*/true);
+  DispatchView(std::span<const Edge>(buffers_[fill_]));
 }
 
-void ParallelTriangleCounter::DispatchView(std::span<const Edge> view,
-                                           bool replicate) {
+void ParallelTriangleCounter::DispatchView(std::span<const Edge> view) {
   aggregates_valid_ = false;
-  const bool staging = !node_staging_.empty() && replicate;
-  if (staging && view.size() > staging_capacity_) {
-    // A view larger than the pre-touched replicas (an engine batch size
-    // above the counter's own w, e.g. under autotuning) must not make
-    // assign() reallocate on the caller's node: grow the replicas
-    // inside a generation so each node's leader first-touches the new
-    // pages on-node. Rare -- at most a few growths per run.
-    staging_capacity_ = view.size();
-    WaitForInFlight();
-    pool_->Dispatch([this](std::size_t slot) {
-      const int node = slot_node_[slot];
-      if (node_leader_[node] == slot) {
-        for (std::vector<Edge>& stage : node_staging_[node]) {
-          stage.resize(staging_capacity_);
-          stage.clear();
-        }
-      }
-    });
-    absorb_task_published_ = false;  // one-shot replaced the absorb task
-    pool_->Wait();
-  }
-  if (staging) {
-    // Stage one replica per node into the *idle* staging half while the
-    // workers may still be absorbing the previous batch out of the
-    // other half -- the copy overlaps compute exactly like the fill
-    // buffers do. After this loop the caller's view is no longer
-    // referenced at all.
-    for (std::size_t node = 0; node < node_staging_.size(); ++node) {
-      node_staging_[node][stage_fill_].assign(view.begin(), view.end());
-    }
-  }
-  // Hand the views to the workers and return to ingesting.
+  // Hand the view to the workers and return to ingesting.
   WaitForInFlight();
-  if (staging) {
-    for (std::size_t node = 0; node < node_staging_.size(); ++node) {
-      node_views_[node] =
-          std::span<const Edge>(node_staging_[node][stage_fill_]);
-    }
-    stage_fill_ ^= 1;
-  } else {
-    // Broadcast: every node reads the same view (single-node topology,
-    // or a stable zero-copy source without the replication opt-in).
-    for (std::span<const Edge>& node_view : node_views_) node_view = view;
-  }
+  view_ = view;
   // The batch travels through members, not lambda captures: the absorb
   // task is published once (SetTask) and re-dispatched per batch, so
   // the steady-state dispatch constructs no std::function at all.

@@ -34,33 +34,13 @@
 // bit-identical to a single TriangleCounter per shard fed the same
 // batches, for a fixed (seed, num_threads) pair.
 //
-// Topology-aware placement (options.topology)
-// -------------------------------------------
-// On multi-socket hardware the broadcast pays the interconnect twice:
-// every remote shard streams the batch across sockets, and each shard's
-// estimator arrays live on whatever node the constructing thread
-// first-touched them. The substrate fixes both:
-//
-//   * Slot k is planned onto a (cpu, node) by util::Topology, round-robin
-//     across nodes; with pin_threads the pool binds the worker there.
-//   * Shards are constructed *inside a pool generation*, so shard k's
-//     cold_/c_/scratch tables are first-touched by worker k -- node-local
-//     estimator state instead of all shards on the caller's node.
-//   * With more than one node, dispatched batches are staged once per
-//     node (double-buffered per-node replicas, first-touched on-node)
-//     and each worker absorbs its own node's replica -- one interconnect
-//     crossing per node per batch instead of one per remote shard.
-//     Stable zero-copy views (mmap) keep the broadcast by default;
-//     SetSourceTraits' replicate flag (engine
-//     StreamEngineOptions::replicate_stable_views) opts them into the
-//     same per-node copy.
-//
-// On a single node -- laptops, CI containers, numa=kOff, non-Linux -- all
-// of this degrades to the plain pooled broadcast: no staging copies, no
-// pinning. Placement never changes what is computed:
-// shard seeds, batch boundaries, and aggregation are independent of where
-// threads run, so estimates stay bit-identical across every
-// topology/pinning/staging configuration for a fixed (seed, num_threads).
+// Placement: with pin_threads, pool slot k is bound to the k-th cpu (mod
+// count) of the process affinity mask (util::AffinityPinPlan). Shards are
+// built on the caller and every worker reads the same broadcast view.
+// Placement never changes what is computed: shard seeds, batch
+// boundaries, and aggregation are independent of where threads run, so
+// pinned and unpinned runs are bit-identical for a fixed
+// (seed, num_threads).
 //
 // Zero-copy ingest: engine::StreamEngine drives any stream::EdgeStream
 // through AbsorbBatchView(). Sources with stable views (mmap'd TRIS
@@ -77,7 +57,7 @@
 // vector, so the aggregate is the same statistic regardless of sharding.
 //
 // Determinism: runs are reproducible for a fixed (seed, num_threads) pair
-// (neither the ingest path nor the topology configuration affects them).
+// (neither the ingest path nor pinning affects them).
 
 #ifndef TRISTREAM_CORE_PARALLEL_COUNTER_H_
 #define TRISTREAM_CORE_PARALLEL_COUNTER_H_
@@ -90,7 +70,6 @@
 
 #include "core/triangle_counter.h"
 #include "util/thread_pool.h"
-#include "util/topology.h"
 #include "util/types.h"
 
 namespace tristream {
@@ -107,9 +86,10 @@ struct ParallelCounterOptions {
   std::uint32_t median_groups = 12;
   /// Shared batch size w (0 = 8 * num_estimators / num_threads per shard).
   std::size_t batch_size = 0;
-  /// Placement policy: pinning, NUMA detection, per-node staging (see the
-  /// file comment).
-  TopologyOptions topology;
+  /// Pin pool slot k to the k-th allowed cpu (see the file comment). Off
+  /// by default: pinning helps when shards own their cores and hurts when
+  /// the machine is shared.
+  bool pin_threads = false;
   /// Vector ISA for each shard's lane sweeps (forwarded to
   /// TriangleCounterOptions::simd; same bit-identity contract, same
   /// exclusion from the checkpoint fingerprint).
@@ -127,25 +107,15 @@ class ParallelTriangleCounter {
   void ProcessEdges(std::span<const Edge> edges);
 
   /// Absorbs `view` as exactly one batch on every shard, with no staging
-  /// copy on a single-node topology -- the zero-copy dispatch hook
-  /// engine::StreamEngine drives (after flushing any partially filled
-  /// ProcessEdge buffer, so previously pushed edges keep their stream
-  /// order ahead of the view's). On a multi-node topology the view may be
-  /// staged per node first (see SetSourceTraits). May return while
-  /// workers are still absorbing; the view must stay valid until the next
-  /// AbsorbBatchView or Flush call. Views of at most batch_size() edges
-  /// reproduce ProcessEdges' batch boundaries, keeping estimates
-  /// bit-identical across ingest paths for a fixed (seed, num_threads).
+  /// copy -- the zero-copy dispatch hook engine::StreamEngine drives
+  /// (after flushing any partially filled ProcessEdge buffer, so
+  /// previously pushed edges keep their stream order ahead of the
+  /// view's). May return while workers are still absorbing; the view must
+  /// stay valid until the next AbsorbBatchView or Flush call. Views of at
+  /// most batch_size() edges reproduce ProcessEdges' batch boundaries,
+  /// keeping estimates bit-identical across ingest paths for a fixed
+  /// (seed, num_threads).
   void AbsorbBatchView(std::span<const Edge> view);
-
-  /// Tells the counter what the views handed to AbsorbBatchView are, so
-  /// the multi-node staging policy can distinguish them: views into an
-  /// engine staging buffer (stable_views = false) are replicated per node
-  /// whenever the topology has more than one; stable source views (mmap,
-  /// in-memory) keep the zero-copy broadcast unless replicate_stable_views
-  /// opts them into the per-node copy. engine::StreamEngine calls this at
-  /// the start of every run; irrelevant on single-node topologies.
-  void SetSourceTraits(bool stable_views, bool replicate_stable_views);
 
   /// Absorbs buffered edges on all shards and waits for them (full
   /// barrier; afterwards estimates reflect everything pushed so far).
@@ -170,10 +140,6 @@ class ParallelTriangleCounter {
     return static_cast<std::uint32_t>(shards_.size());
   }
 
-  /// NUMA nodes the substrate is spread across (1 on single-node
-  /// topologies).
-  std::size_t num_nodes() const { return node_leader_.size(); }
-
   /// True when every pool worker was successfully pinned to its planned
   /// cpu (false when pinning was off, unavailable, or partially failed).
   bool pinned() const { return all_pinned_; }
@@ -183,8 +149,8 @@ class ParallelTriangleCounter {
   std::size_t batch_size() const { return batch_size_; }
 
   /// Steady-state footprint in bytes: every shard's
-  /// TriangleCounter::SteadyStateBytes at the shared w, plus the fill
-  /// buffers and any per-node staging. Exact from construction on, so
+  /// TriangleCounter::SteadyStateBytes at the shared w, plus the two fill
+  /// buffers. Exact from construction on, so
   /// admission control can charge it before the first batch.
   std::size_t MemoryBytes() const;
 
@@ -198,9 +164,8 @@ class ParallelTriangleCounter {
 
   /// Restores a SaveState blob. The counter must be configured with the
   /// same (r, seed, num_threads) as the saver; the shard count is
-  /// re-validated here. Shard state is written in place, preserving each
-  /// shard's NUMA first-touch placement. On failure the state is
-  /// unspecified.
+  /// re-validated here. Shard state is written in place. On failure the
+  /// state is unspecified.
   Status RestoreState(ckpt::ByteSource& source);
 
  private:
@@ -210,10 +175,8 @@ class ParallelTriangleCounter {
 
   /// Dispatches an arbitrary view (a fill buffer or a mapped span) to all
   /// shards and returns as soon as the workers own it; the view must stay
-  /// valid until the next barrier. `replicate` stages the view once per
-  /// node first (multi-node topologies only), after which the view itself
-  /// is no longer referenced.
-  void DispatchView(std::span<const Edge> view, bool replicate);
+  /// valid until the next barrier.
+  void DispatchView(std::span<const Edge> view);
 
   /// Blocks until no batch is in flight on the pool.
   void WaitForInFlight();
@@ -242,28 +205,9 @@ class ParallelTriangleCounter {
   /// Double buffer: buffers_[fill_] is being filled by the caller; the
   /// other buffer may be in flight on the pool.
   std::array<std::vector<Edge>, 2> buffers_;
-  /// Topology plan: node index of each slot, and the first slot on each
-  /// node (the "node leader", which owns that node's staging buffers).
-  std::vector<int> slot_node_;
-  std::vector<std::size_t> node_leader_;
-  /// Per-node, double-buffered batch replicas (multi-node topologies
-  /// only; first-touched by each node's leader slot so the pages live
-  /// on-node). The caller copies the next batch into [n][stage_fill_]
-  /// *before* the generation barrier -- the workers may still be reading
-  /// [n][stage_fill_ ^ 1] -- so the staging copy overlaps absorb the way
-  /// the fill buffers do.
-  std::vector<std::array<std::vector<Edge>, 2>> node_staging_;
-  int stage_fill_ = 0;
-  /// Capacity every staging replica is pre-touched to (grown on-node via
-  /// a leader generation when a larger view arrives).
-  std::size_t staging_capacity_ = 0;
-  /// What each worker's absorb generation reads: node_views_[node of
-  /// slot]. Written only while the pool is idle (Dispatch's barrier
-  /// publishes it).
-  std::vector<std::span<const Edge>> node_views_;
-  /// Source traits for the AbsorbBatchView staging policy.
-  bool source_stable_views_ = false;
-  bool replicate_stable_views_ = false;
+  /// The batch every worker's absorb generation reads. Written only while
+  /// the pool is idle (Dispatch's barrier publishes it).
+  std::span<const Edge> view_;
   /// True when the absorb task is the one currently published to the pool
   /// (EnsureAggregates' reduction generation unpublishes it).
   bool absorb_task_published_ = false;

@@ -494,9 +494,7 @@ Status TriangleCounter::RestoreState(ckpt::ByteSource& source) {
         " estimators, this counter is configured for " +
         std::to_string(cold_.size()));
   }
-  // Overwrite the existing arrays in place: they are already sized r, and
-  // for NUMA-bound shards the restore must not disturb their first-touch
-  // page placement.
+  // Overwrite the existing arrays in place: they are already sized r.
   for (std::size_t i = 0; i < cold_.size(); ++i) {
     ColdState& cs = cold_[i];
     std::uint8_t flags = 0;

@@ -28,7 +28,7 @@ Result<std::unique_ptr<StreamingEstimator>> MakeEstimator(
          .aggregation = config.aggregation,
          .median_groups = config.median_groups,
          .batch_size = config.batch_size,
-         .topology = config.topology,
+         .pin_threads = config.pin_threads,
          .simd = config.simd});
   }
   if (algo == "bulk") {

@@ -17,8 +17,8 @@
 //     ProcessEdges, or, with only per-event absorption, edge by edge as
 //     inserts.
 //   * ProcessEvents marks a turnstile counter (supports_deletions);
-//     EstimateWedges, SaveState/RestoreState, Flush, SetSourceTraits,
-//     batch_size and MemoryBytes back the matching estimator reads.
+//     EstimateWedges, SaveState/RestoreState, Flush, batch_size and
+//     MemoryBytes back the matching estimator reads.
 //   * pending_edges: estimates are non-perturbing exactly when no partial
 //     batch is buffered, since Flush() would absorb it early and change
 //     the RNG trajectory.
@@ -29,8 +29,7 @@
 // The bulk counter self-batches at its own w, so engine batch boundaries
 // never change its estimates. The baselines (Buriol, colorful,
 // Jowhari-Ghodsi, first-edge exhaustive) are strictly per-edge
-// algorithms: batch boundaries cannot affect their output, which makes
-// them safe under autotuning.
+// algorithms: batch boundaries cannot affect their output.
 
 #ifndef TRISTREAM_ENGINE_ESTIMATORS_H_
 #define TRISTREAM_ENGINE_ESTIMATORS_H_
@@ -51,7 +50,6 @@
 #include "core/triangle_counter.h"
 #include "engine/streaming_estimator.h"
 #include "util/status.h"
-#include "util/topology.h"
 #include "util/types.h"
 
 namespace tristream {
@@ -87,8 +85,8 @@ struct CounterTraits<core::ParallelTriangleCounter> {
   static constexpr const char* kName = "tsb";
   /// Resolved shard count and batch size are mixed (not the raw options)
   /// so `--threads 0` cannot silently resolve differently across hosts.
-  /// Placement knobs (pinning, NUMA staging) and the simd mode are
-  /// excluded: they never change what is computed.
+  /// Pinning and the simd mode are excluded: they never change what is
+  /// computed.
   static void MixConfig(ckpt::ConfigFingerprint& fp, const Options& o,
                         const core::ParallelTriangleCounter& counter) {
     fp.Mix(o.num_estimators);
@@ -176,14 +174,6 @@ class CounterEstimator final : public StreamingEstimator {
       : options_(options), counter_(std::make_unique<Counter>(options)) {}
 
   const char* name() const override { return Traits::kName; }
-  /// Forwards the source traits so the sharded counter's multi-node
-  /// staging can tell stable zero-copy views from engine staging buffers.
-  void BeginStream(const StreamSourceTraits& traits) override {
-    if constexpr (requires { counter_->SetSourceTraits(true, true); }) {
-      counter_->SetSourceTraits(traits.stable_views,
-                                traits.replicate_stable_views);
-    }
-  }
   void ProcessEdges(std::span<const Edge> edges) override {
     if constexpr (requires { counter_->AbsorbBatchView(edges); }) {
       counter_->AbsorbBatchView(edges);
@@ -332,9 +322,9 @@ struct EstimatorConfig {
   /// estimates under every choice; validated against the host CPU by
   /// MakeEstimator.
   SimdMode simd = SimdMode::kAuto;
-  /// tsb only: topology placement (pinning, NUMA detection, per-node
-  /// batch staging); see core::ParallelCounterOptions::topology.
-  TopologyOptions topology;
+  /// tsb only: pin worker k to the k-th allowed cpu (--pin); see
+  /// core::ParallelCounterOptions::pin_threads.
+  bool pin_threads = false;
   /// window only.
   std::uint64_t window_size = 1 << 16;
   /// dynamic only: independent hash groups.

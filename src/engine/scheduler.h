@@ -76,7 +76,7 @@ class Scheduler {
   Scheduler& operator=(const Scheduler&) = delete;
 
   /// Registers a session and queues it as ready (the first Step must run
-  /// regardless of source readiness -- it validates and calibrates).
+  /// regardless of source readiness -- it validates the options).
   /// Callable before or after Start, and from on_session_done.
   void Add(Session* session);
 

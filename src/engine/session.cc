@@ -1,8 +1,5 @@
 #include "engine/session.h"
 
-#include <algorithm>
-#include <iterator>
-#include <span>
 #include <string>
 #include <utility>
 
@@ -10,17 +7,6 @@
 
 namespace tristream {
 namespace engine {
-namespace {
-
-/// Built-in calibration ladder (see StreamEngine's history in
-/// stream_engine.h). Starts past the regime where per-batch substrate
-/// cost dominates and stops where the O(r + w) batch cost is within ~2%
-/// of its asymptote; the estimator's own preferred size is appended so
-/// the sweep can never do worse than the static default it replaces.
-constexpr std::size_t kDefaultLadder[] = {
-    std::size_t{1} << 12, std::size_t{1} << 14, std::size_t{1} << 16};
-
-}  // namespace
 
 Session::Session(StreamingEstimator& estimator, stream::EdgeStream& source,
                  SessionOptions options)
@@ -61,71 +47,9 @@ std::size_t Session::PumpOne() {
   return view.size();
 }
 
-std::size_t Session::Calibrate() {
-  std::vector<std::size_t> ladder = options_.autotune_candidates;
-  if (ladder.empty()) {
-    ladder.assign(std::begin(kDefaultLadder), std::end(kDefaultLadder));
-    if (estimator_.preferred_batch_size() != 0) {
-      ladder.push_back(estimator_.preferred_batch_size());
-    }
-  }
-  for (std::size_t& w : ladder) w = std::max<std::size_t>(w, 1);
-  std::sort(ladder.begin(), ladder.end());
-  ladder.erase(std::unique(ladder.begin(), ladder.end()), ladder.end());
-
-  const std::size_t saved_w = w_;
-  std::size_t best = ladder.front();
-  double best_eps = -1.0;
-  bool exhausted = false;
-  for (const std::size_t w : ladder) {
-    w_ = w;
-    // One untimed warm-up batch per candidate: the first batch at a new
-    // size pays one-time costs proportional to w (scratch-table growth,
-    // buffer allocation) that the steady state amortizes away; charging
-    // them to the measurement would bias the sweep toward small batches.
-    estimator_.Flush();
-    if (PumpOne() == 0) break;
-    estimator_.Flush();
-    // Measure at least two full batches (and at least probe_edges) of
-    // fetch + dispatch + drain at w.
-    const std::size_t goal =
-        std::max(std::max<std::size_t>(options_.autotune_probe_edges, 1),
-                 2 * w);
-    WallTimer timer;
-    std::size_t probed = 0;
-    while (probed < goal) {
-      const std::size_t got = PumpOne();
-      if (got == 0) {
-        exhausted = true;
-        break;
-      }
-      probed += got;
-    }
-    estimator_.Flush();
-    const double seconds = timer.Seconds();
-    if (probed > 0 && seconds > 0.0) {
-      const double eps = static_cast<double>(probed) / seconds;
-      if (eps > best_eps) {
-        best_eps = eps;
-        best = w;
-      }
-    }
-    if (exhausted) break;  // stream over: best measured so far wins
-  }
-  w_ = saved_w;
-  return best;
-}
-
 bool Session::Initialize() {
   metrics_ = SessionMetrics{};
   stable_views_ = source_.stable_views();
-  // Announce the source's traits before the first batch so a
-  // placement-aware estimator can pick its staging policy (per-NUMA-node
-  // replicas vs. zero-copy broadcast) for this run's views.
-  StreamSourceTraits traits;
-  traits.stable_views = stable_views_;
-  traits.replicate_stable_views = options_.replicate_stable_views;
-  estimator_.BeginStream(traits);
   io_before_ = source_.io_seconds();
   w_ = options_.batch_size;
   if (w_ == 0) w_ = estimator_.preferred_batch_size();
@@ -145,13 +69,6 @@ bool Session::Initialize() {
       state_.store(SessionState::kFailed, std::memory_order_release);
       return false;
     }
-    if (options_.autotune && options_.batch_size == 0) {
-      status_ = Status::InvalidArgument(
-          "autotuning changes batch boundaries, which a resumed run cannot "
-          "replay; pin batch_size (or disable autotune) to checkpoint");
-      state_.store(SessionState::kFailed, std::memory_order_release);
-      return false;
-    }
   }
   // Resume support: the estimator may arrive mid-stream (RestoreState +
   // SkipToCheckpoint), in which case metrics_.edges counts only this run's
@@ -166,23 +83,10 @@ bool Session::Initialize() {
 
   fill_ = 0;
   total_.Restart();
-  if (options_.autotune && options_.batch_size == 0) {
-    // An explicit batch_size is a reproducibility pin; only the default
-    // is worth second-guessing. The sweep runs to completion inside this
-    // first Step -- it must own the stream prefix without interleaving.
-    w_ = Calibrate();
-    metrics_.autotuned = true;
-  }
   metrics_.batch_size = w_;
-
   next_report_ = options_.report_every_edges != 0 && options_.on_report
                      ? options_.report_every_edges
                      : std::numeric_limits<std::uint64_t>::max();
-  // Edges absorbed during calibration may already have crossed report
-  // points; fold them into the first report instead of replaying them.
-  while (next_report_ <= metrics_.edges) {
-    next_report_ += options_.report_every_edges;
-  }
   return true;
 }
 

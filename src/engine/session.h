@@ -34,7 +34,6 @@
 #include <limits>
 #include <mutex>
 #include <string>
-#include <vector>
 
 #include "engine/streaming_estimator.h"
 #include "stream/edge_stream.h"
@@ -52,10 +51,8 @@ class Session;
 struct SessionMetrics {
   std::uint64_t edges = 0;    // edges delivered to the estimator
   std::uint64_t batches = 0;  // ProcessEdges calls issued
-  /// Batch size in effect at end of run (the autotuner's pick, when
-  /// autotuning ran).
+  /// Batch size the run fetched at.
   std::size_t batch_size = 0;
-  bool autotuned = false;
   double total_seconds = 0.0;    // wall clock, fetch + absorb + flush
   double io_seconds = 0.0;       // source-attributed (reads, waits)
   double compute_seconds = 0.0;  // ingest thread blocked in the estimator
@@ -74,23 +71,6 @@ struct SessionOptions {
   /// Fetch size w per NextBatchView call. 0 defers to the estimator's
   /// preferred_batch_size(), then to kDefaultBatchSize.
   std::size_t batch_size = 0;
-
-  /// Calibrate w on the stream's prefix instead of trusting the static
-  /// default (see stream_engine.h). Ignored when batch_size != 0. The
-  /// calibration sweep runs entirely inside the first Step(), so it can
-  /// block on a slow source; serve mode leaves it off.
-  bool autotune = false;
-
-  /// Edges measured per autotune candidate (rounded up to whole batches).
-  std::size_t autotune_probe_edges = 1 << 16;
-
-  /// Candidate ladder for the sweep. Empty selects the built-in ladder
-  /// {4K, 16K, 64K} plus the estimator's preferred size.
-  std::vector<std::size_t> autotune_candidates;
-
-  /// Topology staging opt-in, forwarded to the estimator through
-  /// StreamSourceTraits (see stream_engine.h for the full rationale).
-  bool replicate_stable_views = false;
 
   /// When nonzero, on_report fires after any batch that crosses a multiple
   /// of this many edges -- the live-monitoring hook. Invoked from the
@@ -133,7 +113,7 @@ inline constexpr std::size_t kDefaultBatchSize = std::size_t{1} << 16;
 
 /// Where a session is in its lifecycle.
 enum class SessionState {
-  kInit,      // Step() not yet called; first call validates and calibrates
+  kInit,      // Step() not yet called; the first call validates options
   kPumping,   // mid-stream
   kFinished,  // stream ended with a healthy source; estimates are final
   kFailed,    // option validation, checkpoint write, or source failure
@@ -166,7 +146,7 @@ class Session {
   Session& operator=(const Session&) = delete;
 
   /// Advances the run by one quantum (up to quantum_batches batches; the
-  /// first call also validates options and runs any calibration sweep).
+  /// first call also validates options).
   /// Returns the state afterwards; once kFinished/kFailed, further calls
   /// are no-ops. Exactly one thread may be inside Step() at a time.
   SessionState Step();
@@ -181,7 +161,7 @@ class Session {
 
   /// Scheduling hint: true when Step() would make progress without
   /// blocking on a producer. Always true before the first Step (option
-  /// validation and calibration must run regardless); false once done.
+  /// validation must run regardless); false once done.
   bool ready() const;
 
   /// The run's sticky outcome: meaningful once done(). OK means the
@@ -209,13 +189,9 @@ class Session {
   /// One fetch + dispatch at size `w`; returns edges delivered (0 = end).
   std::size_t PumpOne();
 
-  /// The calibration sweep (port of StreamEngine::Calibrate): absorbs a
-  /// short prefix at each candidate size, returns the fastest.
-  std::size_t Calibrate();
-
-  /// First-Step bring-up: traits announcement, w resolution, checkpoint
-  /// validation, calibration, cadence anchoring. Returns false when
-  /// validation failed (state_ is kFailed with status_ set).
+  /// First-Step bring-up: w resolution, checkpoint validation, cadence
+  /// anchoring. Returns false when validation failed (state_ is kFailed
+  /// with status_ set).
   bool Initialize();
 
   /// Final barrier + metrics + sticky status once the source is drained.

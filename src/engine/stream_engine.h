@@ -6,7 +6,7 @@
 // checked the source's sticky status, and batching policy was copy-pasted
 // per counter. StreamEngine centralized everything those loops duplicated
 // -- batched double-buffered fetch, sticky-status propagation, per-run
-// metrics, batch-size autotuning, checkpoint cadence.
+// metrics, checkpoint cadence.
 //
 // That drive loop now lives in engine::Session (one run, advanced in
 // schedulable quanta) and engine::Scheduler (which session steps next),

@@ -38,19 +38,9 @@
 namespace tristream {
 namespace engine {
 
-/// What the engine knows about the source feeding the next run --
-/// announced to the estimator via BeginStream so placement-aware
-/// implementations (the sharded counter's per-NUMA-node batch staging)
-/// can pick the right staging policy per view.
-struct StreamSourceTraits {
-  /// Views handed to ProcessEdges point into source-owned storage (mmap,
-  /// in-memory list) rather than an engine staging buffer.
-  bool stable_views = false;
-  /// Caller opt-in (StreamEngineOptions::replicate_stable_views): stage a
-  /// per-NUMA-node copy of stable views too, instead of broadcasting one
-  /// mapping across sockets. Meaningless when stable_views is false.
-  bool replicate_stable_views = false;
-};
+/// Empty; kept with BeginStream only because perfbench's TracedEstimator
+/// overrides it. Delete both in the next benchmark change.
+struct StreamSourceTraits {};
 
 /// One streaming triangle estimator behind the engine's uniform driver.
 class StreamingEstimator {
@@ -60,12 +50,8 @@ class StreamingEstimator {
   /// Short stable identifier ("tsb", "buriol", ...) for logs and JSON.
   virtual const char* name() const = 0;
 
-  /// Called by the engine once per Run(), before the first batch, with
-  /// the source's traits. Default: ignore (only placement-aware
-  /// estimators care). Traits apply until the next BeginStream call.
-  virtual void BeginStream(const StreamSourceTraits& traits) {
-    (void)traits;
-  }
+  /// Never called (see StreamSourceTraits).
+  virtual void BeginStream(const StreamSourceTraits&) {}
 
   /// Absorbs the next contiguous run of stream edges, in order. May return
   /// before absorption completes; `edges` must remain valid until the next
@@ -118,7 +104,7 @@ class StreamingEstimator {
 
   /// Batch size the estimator would pick for itself (its own algorithmic
   /// operating point, e.g. the bulk counter's w = 8r). 0 means no
-  /// preference: the engine falls back to its default or autotunes.
+  /// preference: the engine falls back to kDefaultBatchSize.
   virtual std::size_t preferred_batch_size() const { return 0; }
 
   /// True when reading the typed estimates RIGHT NOW would not change the

@@ -1,9 +1,50 @@
 #include "util/thread_pool.h"
 
 #include "util/logging.h"
-#include "util/topology.h"
+
+#if defined(__linux__)
+#include <pthread.h>
+#include <sched.h>
+#endif
 
 namespace tristream {
+namespace {
+
+/// Binds a joinable thread to `cpu`. False when the cpu does not exist,
+/// the mask is rejected, or the platform has no affinity API.
+bool PinThreadToCpu(std::thread& thread, int cpu) {
+#if defined(__linux__)
+  if (cpu < 0 || cpu >= CPU_SETSIZE) return false;
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  CPU_SET(cpu, &set);
+  return ::pthread_setaffinity_np(thread.native_handle(), sizeof(set),
+                                  &set) == 0;
+#else
+  (void)thread;
+  (void)cpu;
+  return false;
+#endif
+}
+
+}  // namespace
+
+std::vector<int> AffinityPinPlan(std::size_t num_slots) {
+  std::vector<int> allowed;
+#if defined(__linux__)
+  cpu_set_t set;
+  if (::sched_getaffinity(0, sizeof(set), &set) == 0) {
+    for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
+      if (CPU_ISSET(cpu, &set)) allowed.push_back(cpu);
+    }
+  }
+#endif
+  std::vector<int> plan(num_slots, -1);
+  for (std::size_t slot = 0; slot < num_slots && !allowed.empty(); ++slot) {
+    plan[slot] = allowed[slot % allowed.size()];
+  }
+  return plan;
+}
 
 ThreadPool::ThreadPool(std::size_t num_threads, ThreadPoolOptions options) {
   if (num_threads == 0) num_threads = 1;

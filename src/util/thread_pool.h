@@ -27,13 +27,9 @@
 // Dispatch and Wait, and only by the caller otherwise (the barrier provides
 // the synchronization edges both ways).
 //
-// Placement: ThreadPoolOptions::pin_cpus binds slot k to a fixed cpu
-// (util::Topology plans one cpu per slot, round-robin across NUMA nodes).
-// Because slot k's shard state is only ever touched by worker k, pinning
-// plus constructing the shard *inside a generation* (a construction
-// dispatch) first-touches its memory on the worker's own node -- the
-// node-local placement the sharded counter relies on. Pinning never
-// affects results, only where the work runs.
+// Placement: ThreadPoolOptions::pin_cpus binds slot k to a fixed cpu;
+// AffinityPinPlan gives slot k the k-th cpu (mod count) of the process
+// affinity mask. Pinning never affects results, only where the work runs.
 
 #ifndef TRISTREAM_UTIL_THREAD_POOL_H_
 #define TRISTREAM_UTIL_THREAD_POOL_H_
@@ -56,6 +52,11 @@ struct ThreadPoolOptions {
   /// fatal -- check pinned(slot).
   std::vector<int> pin_cpus;
 };
+
+/// One cpu per slot: slot k gets the k-th cpu (mod count) of the process
+/// affinity mask, so pinning works under restricted cpusets too. All -1
+/// (no pins) where the platform has no affinity API.
+std::vector<int> AffinityPinPlan(std::size_t num_slots);
 
 /// Fixed-size persistent worker pool executing one task per slot per
 /// generation. Not itself thread-safe: Dispatch/Wait/SetTask must come

@@ -80,7 +80,7 @@ EstimatorConfig ConfigFor(const Flavor& flavor) {
   config.num_threads = 3;  // tsb: shards > 1
   config.batch_size = kBatch;
   config.window_size = 900;
-  config.topology.pin_threads = flavor.pin_threads;
+  config.pin_threads = flavor.pin_threads;
   return config;
 }
 
@@ -784,17 +784,6 @@ TEST(CheckpointContractTest, EngineRejectsCheckpointMisconfiguration) {
     stream::MemoryEdgeStream source(el);
     StreamEngineOptions options;
     options.checkpoint_path = ckpt.path();
-    StreamEngine eng(options);
-    EXPECT_EQ(eng.Run(**est, source).code(), StatusCode::kInvalidArgument);
-  }
-  {  // Autotuned batch boundaries cannot be replayed: InvalidArgument.
-    auto est = MakeEstimator("bulk", config);
-    ASSERT_TRUE(est.ok());
-    stream::MemoryEdgeStream source(el);
-    StreamEngineOptions options;
-    options.checkpoint_path = ckpt.path();
-    options.checkpoint_every_edges = 100;
-    options.autotune = true;
     StreamEngine eng(options);
     EXPECT_EQ(eng.Run(**est, source).code(), StatusCode::kInvalidArgument);
   }

@@ -2,6 +2,8 @@
 // shards run serially (SerialShards), the same accuracy as the serial
 // engine, determinism per (seed, threads), and thread-count robustness.
 
+#include <sched.h>
+
 #include <algorithm>
 #include <cmath>
 #include <span>
@@ -174,31 +176,24 @@ TEST(ParallelCounterTest, FlushIsAFullBarrierMidStream) {
   EXPECT_EQ(pooled.EstimateWedges(), serial.EstimateWedges());
 }
 
-/// A fake two-node topology on whatever cpus this machine has, so the
-/// multi-node staging and pinning paths run (and run under TSan) even on
-/// single-node CI hosts.
-Topology FakeTwoNodeTopology() {
-  std::vector<NumaNode> nodes(2);
-  nodes[0].id = 0;
-  nodes[0].cpus = {0};
-  nodes[1].id = 1;
-  nodes[1].cpus = {0};
-  return Topology::FromNodes(std::move(nodes));
-}
-
 TEST(ParallelCounterTest, PinnedBitIdenticalToUnpinned) {
   // Pinning is placement only: for a fixed (seed, num_threads) the
-  // estimates must match the unpinned pipeline to the last bit, on any
-  // topology.
+  // estimates must match the unpinned pipeline to the last bit. The pin
+  // plan must also take effect wherever the platform has an affinity API.
+  const bool has_affinity = ::sched_getcpu() >= 0;
   const auto stream =
       stream::ShuffleStreamOrder(gen::GnmRandom(70, 600, 11), 31);
   for (std::uint32_t threads : {1u, 2u, 8u}) {
     ParallelCounterOptions unpinned = POptions(12000, threads, 424242);
     unpinned.batch_size = 500;
     ParallelCounterOptions pinned = unpinned;
-    pinned.topology.pin_threads = true;
+    pinned.pin_threads = true;
     ParallelTriangleCounter a(unpinned);
     ParallelTriangleCounter b(pinned);
+    EXPECT_FALSE(a.pinned());
+    if (has_affinity) {
+      EXPECT_TRUE(b.pinned()) << threads << " threads";
+    }
     a.ProcessEdges(stream.edges());
     b.ProcessEdges(stream.edges());
     EXPECT_EQ(a.EstimateTriangles(), b.EstimateTriangles())
@@ -208,109 +203,25 @@ TEST(ParallelCounterTest, PinnedBitIdenticalToUnpinned) {
   }
 }
 
-TEST(ParallelCounterTest, MultiNodeStagingBitIdentical) {
-  // With >1 node the dispatched batches are staged once per node and each
-  // worker absorbs its node's replica; the estimates must still be
-  // bit-identical to the single-node broadcast (staging copies content,
-  // never changes it). The fake topology makes this path run on a
-  // single-node machine -- and under TSan in CI.
-  const auto stream =
-      stream::ShuffleStreamOrder(gen::GnmRandom(60, 500, 5), 55);
-  for (std::uint32_t threads : {2u, 4u}) {
-    ParallelCounterOptions plain = POptions(8000, threads, 777);
-    plain.batch_size = 256;
-    ParallelCounterOptions staged = plain;
-    staged.topology.override_topology = FakeTwoNodeTopology();
-    staged.topology.pin_threads = true;
-    ParallelTriangleCounter a(plain);
-    ParallelTriangleCounter b(staged);
-    EXPECT_EQ(a.num_nodes(), 1u);
-    EXPECT_EQ(b.num_nodes(), 2u);
-    a.ProcessEdges(stream.edges());
-    b.ProcessEdges(stream.edges());
-    EXPECT_EQ(a.EstimateTriangles(), b.EstimateTriangles())
-        << threads << " threads";
-    EXPECT_EQ(a.EstimateWedges(), b.EstimateWedges());
-    EXPECT_EQ(a.EstimateTransitivity(), b.EstimateTransitivity());
-    EXPECT_EQ(a.edges_processed(), b.edges_processed());
-  }
-}
-
-TEST(ParallelCounterTest, StableViewReplicationOptInBitIdentical) {
-  // The AbsorbBatchView staging policy: stable views broadcast by
-  // default, replicate per node on opt-in; either way the estimates match
-  // the plain ProcessEdges path for equal batch boundaries.
+TEST(ParallelCounterTest, BatchViewsMatchProcessEdges) {
+  // The zero-copy path: views of batch_size() edges, each absorbed as one
+  // batch on every shard, reproduce ProcessEdges' batch boundaries and
+  // therefore its estimates.
   const auto stream =
       stream::ShuffleStreamOrder(gen::GnmRandom(50, 400, 21), 13);
   const std::span<const Edge> edges(stream.edges());
   ParallelCounterOptions opt = POptions(6000, 3, 99);
   opt.batch_size = 200;
-  ParallelCounterOptions staged = opt;
-  staged.topology.override_topology = FakeTwoNodeTopology();
   ParallelTriangleCounter plain(opt);
-  ParallelTriangleCounter broadcast(staged);
-  ParallelTriangleCounter replicated(staged);
-  broadcast.SetSourceTraits(/*stable_views=*/true,
-                            /*replicate_stable_views=*/false);
-  replicated.SetSourceTraits(/*stable_views=*/true,
-                             /*replicate_stable_views=*/true);
+  ParallelTriangleCounter viewed(opt);
   plain.ProcessEdges(edges);
   for (std::size_t off = 0; off < edges.size(); off += opt.batch_size) {
-    const auto view =
-        edges.subspan(off, std::min(opt.batch_size, edges.size() - off));
-    broadcast.AbsorbBatchView(view);
-    replicated.AbsorbBatchView(view);
+    viewed.AbsorbBatchView(
+        edges.subspan(off, std::min(opt.batch_size, edges.size() - off)));
   }
-  broadcast.Flush();
-  replicated.Flush();
-  EXPECT_EQ(plain.EstimateTriangles(), broadcast.EstimateTriangles());
-  EXPECT_EQ(plain.EstimateTriangles(), replicated.EstimateTriangles());
-  EXPECT_EQ(plain.EstimateWedges(), replicated.EstimateWedges());
-}
-
-TEST(ParallelCounterTest, OversizedViewGrowsStagingBitIdentical) {
-  // A view larger than the pre-touched staging capacity (an engine batch
-  // size above the counter's own w) triggers the on-node growth
-  // generation; content and batch boundaries must be preserved exactly.
-  const auto stream =
-      stream::ShuffleStreamOrder(gen::GnmRandom(60, 500, 7), 57);
-  const std::span<const Edge> edges(stream.edges());
-  ParallelCounterOptions opt = POptions(6000, 2, 321);
-  opt.batch_size = 64;  // staging pre-touched to 64 edges
-  ParallelCounterOptions staged = opt;
-  staged.topology.override_topology = FakeTwoNodeTopology();
-  ParallelTriangleCounter broadcast(opt);
-  ParallelTriangleCounter replicated(staged);
-  // One whole-stream view (~500 edges) = one batch on every shard, far
-  // above the staging capacity in the replicated counter.
-  broadcast.AbsorbBatchView(edges);
-  replicated.AbsorbBatchView(edges);
-  broadcast.Flush();
-  replicated.Flush();
-  EXPECT_EQ(broadcast.EstimateTriangles(), replicated.EstimateTriangles());
-  EXPECT_EQ(broadcast.EstimateWedges(), replicated.EstimateWedges());
-  // And the pool keeps working afterwards (the growth generation swapped
-  // the published task out and back).
-  broadcast.ProcessEdges(edges);
-  replicated.ProcessEdges(edges);
-  EXPECT_EQ(broadcast.EstimateTriangles(), replicated.EstimateTriangles());
-}
-
-TEST(ParallelCounterTest, NumaOffMatchesAuto) {
-  // numa=kOff forces the single-node substrate; results never depend on
-  // the detected topology either way.
-  const auto stream = CanonicalStream();
-  ParallelCounterOptions auto_opt = POptions(4000, 3, 77);
-  ParallelCounterOptions off_opt = auto_opt;
-  off_opt.topology.numa = TopologyOptions::Numa::kOff;
-  off_opt.topology.pin_threads = true;
-  ParallelTriangleCounter a(auto_opt);
-  ParallelTriangleCounter b(off_opt);
-  EXPECT_EQ(b.num_nodes(), 1u);
-  a.ProcessEdges(stream.edges());
-  b.ProcessEdges(stream.edges());
-  EXPECT_EQ(a.EstimateTriangles(), b.EstimateTriangles());
-  EXPECT_EQ(a.EstimateWedges(), b.EstimateWedges());
+  viewed.Flush();
+  EXPECT_EQ(plain.EstimateTriangles(), viewed.EstimateTriangles());
+  EXPECT_EQ(plain.EstimateWedges(), viewed.EstimateWedges());
 }
 
 TEST(ParallelCounterTest, ShardDistributionMatchesSerialEngine) {

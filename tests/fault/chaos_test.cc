@@ -26,14 +26,14 @@
 #include "engine/feed_client.h"
 #include "engine/serve.h"
 #include "engine/stream_engine.h"
-#include "fault/fault.h"
-#include "fault/faulty_stream.h"
 #include "gen/erdos_renyi.h"
 #include "graph/edge_list.h"
 #include "gtest/gtest.h"
 #include "stream/binary_io.h"
 #include "stream/edge_stream.h"
 #include "stream/socket_stream.h"
+#include "tests/fault/fault.h"
+#include "tests/fault/faulty_stream.h"
 #include "util/backoff.h"
 
 namespace tristream {

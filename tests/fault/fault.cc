@@ -1,4 +1,4 @@
-#include "fault/fault.h"
+#include "tests/fault/fault.h"
 
 #include <algorithm>
 

@@ -1,7 +1,7 @@
 // Deterministic fault injection: a seeded schedule of "break *here*"
 // points that every chaos suite in the repo shares.
 //
-// The PR 6 crash suite proved "kill anywhere, resume bit-identical" by
+// The first crash suite proved "kill anywhere, resume bit-identical" by
 // racing SIGKILL against the file system -- effective, but timing-based
 // and per-suite. FaultSchedule replaces the timing with positions: a
 // fault fires when a counter (edges delivered, bytes written, calls
@@ -12,11 +12,11 @@
 //
 // The schedule itself is pure bookkeeping; the injection wrappers live
 // next to their seams:
-//   * stream seam  -- fault/faulty_stream.h  (FaultyEdgeStream)
-//   * fs seam      -- ckpt/checkpoint.h      (SetPersistFaultHookForTesting)
+//   * stream seam  -- tests/fault/faulty_stream.h (FaultyEdgeStream)
+//   * fs seam      -- ckpt/checkpoint.h (SetPersistFaultHookForTesting)
 
-#ifndef TRISTREAM_FAULT_FAULT_H_
-#define TRISTREAM_FAULT_FAULT_H_
+#ifndef TRISTREAM_TESTS_FAULT_FAULT_H_
+#define TRISTREAM_TESTS_FAULT_FAULT_H_
 
 #include <cstdint>
 #include <limits>
@@ -99,4 +99,4 @@ class FaultSchedule {
 }  // namespace fault
 }  // namespace tristream
 
-#endif  // TRISTREAM_FAULT_FAULT_H_
+#endif  // TRISTREAM_TESTS_FAULT_FAULT_H_

@@ -5,18 +5,18 @@
 // the sticky status names the injected kind, and Reset() replays the
 // identical faulted run.
 
-#include "fault/fault.h"
+#include "tests/fault/fault.h"
 
 #include <array>
 #include <cstring>
 #include <string>
 #include <vector>
 
-#include "fault/faulty_stream.h"
 #include "gen/erdos_renyi.h"
 #include "graph/edge_list.h"
 #include "gtest/gtest.h"
 #include "stream/edge_stream.h"
+#include "tests/fault/faulty_stream.h"
 #include "util/status.h"
 
 namespace tristream {

@@ -1,4 +1,4 @@
-#include "fault/faulty_stream.h"
+#include "tests/fault/faulty_stream.h"
 
 #include <algorithm>
 #include <chrono>

@@ -21,14 +21,14 @@
 // Reset() resets the inner stream, rewinds the schedule, and clears the
 // sticky status -- a faulted run can replay under the same schedule.
 
-#ifndef TRISTREAM_FAULT_FAULTY_STREAM_H_
-#define TRISTREAM_FAULT_FAULTY_STREAM_H_
+#ifndef TRISTREAM_TESTS_FAULT_FAULTY_STREAM_H_
+#define TRISTREAM_TESTS_FAULT_FAULTY_STREAM_H_
 
 #include <cstdint>
 #include <vector>
 
-#include "fault/fault.h"
 #include "stream/edge_stream.h"
+#include "tests/fault/fault.h"
 #include "util/status.h"
 
 namespace tristream {
@@ -82,4 +82,4 @@ class FaultyEdgeStream : public stream::EdgeStream {
 }  // namespace fault
 }  // namespace tristream
 
-#endif  // TRISTREAM_FAULT_FAULTY_STREAM_H_
+#endif  // TRISTREAM_TESTS_FAULT_FAULTY_STREAM_H_

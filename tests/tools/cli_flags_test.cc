@@ -1,8 +1,9 @@
 // The CLI's flag contract: a command refuses every flag it does not read
-// -- a typo ("--thread") or another command's flag -- with a diagnostic
-// naming the flag and exit code 2, instead of running a different job
-// than the one asked for. Runs the real tristream_cli binary from this
-// test's build directory (build it too: `cmake --build build`).
+// -- a typo ("--thread"), a removed flag or another command's flag --
+// with a diagnostic naming the flag and exit code 2, instead of running a
+// different job than the one asked for; 0|1 switches refuse any other
+// value the same way. Runs the real tristream_cli binary from this test's
+// build directory (build it too: `cmake --build build`).
 
 #include <sys/wait.h>
 #include <unistd.h>
@@ -77,14 +78,19 @@ class CliFlagsTest : public ::testing::Test {
     if (!input_.empty()) std::remove(input_.c_str());
   }
 
+  /// Expects `args` to exit 2 with `message` on stderr.
+  void ExpectExit2(const std::vector<std::string>& args,
+                   const std::string& message) {
+    const CliRun run = RunCli(cli_, args);
+    EXPECT_EQ(run.exit_code, 2) << args[0] << " " << message;
+    EXPECT_NE(run.stderr_text.find(message), std::string::npos)
+        << run.stderr_text;
+  }
+
   /// Expects `args` to be refused with exit 2 and `flag` named on stderr.
   void ExpectRefused(const std::vector<std::string>& args,
                      const std::string& flag) {
-    const CliRun run = RunCli(cli_, args);
-    EXPECT_EQ(run.exit_code, 2) << args[0] << " " << flag;
-    EXPECT_NE(run.stderr_text.find("does not take flag " + flag),
-              std::string::npos)
-        << run.stderr_text;
+    ExpectExit2(args, "does not take flag " + flag);
   }
 
   std::string cli_;
@@ -106,16 +112,35 @@ TEST_F(CliFlagsTest, RemovedAndForeignFlagsAreRefused) {
   ExpectRefused({"count", "--input", input_, "--workers", "2"}, "--workers");
   ExpectRefused({"stats", "--input", input_, "--estimators", "64"},
                 "--estimators");
+  ExpectRefused({"inspect", input_, "--thread", "2"}, "--thread");
   ExpectRefused({"sample", "--input", input_, "--max-degree", "50",
                  "--threads", "2"},
                 "--threads");
+  ExpectRefused({"count", "--input", input_, "--autotune"}, "--autotune");
+  ExpectRefused({"count", "--input", input_, "--numa", "off"}, "--numa");
+  ExpectRefused({"count", "--input", input_, "--numa-replicate",
+                 "--threads", "2"},
+                "--numa-replicate");
+  // A misspelled valueless flag is named, not read as taking a value.
+  ExpectRefused({"count", "--input", input_, "--median-of-mean"},
+                "--median-of-mean");
+  ExpectRefused({"count", "--input", input_, "--median-of-mean",
+                 "--threads", "2"},
+                "--median-of-mean");
+}
+
+TEST_F(CliFlagsTest, SwitchesTakeOnlyZeroOrOne) {
+  ExpectExit2({"count", "--input", input_, "--pin", "7"},
+              "flag --pin expects 0 or 1, got '7'");
+  ExpectExit2({"count", "--input", input_, "--mmap", "5"},
+              "flag --mmap expects 0 or 1, got '5'");
 }
 
 TEST_F(CliFlagsTest, FlagsTheCommandReadsAreAccepted) {
   const CliRun run = RunCli(
       cli_, {"count", "--input", input_, "--estimators", "256", "--threads",
-             "2", "--seed", "3", "--batch", "512", "--pin", "0", "--numa",
-             "off", "--simd", "off", "--mmap", "0", "--median-of-means"});
+             "2", "--seed", "3", "--batch", "512", "--pin", "1", "--simd",
+             "off", "--mmap", "0", "--median-of-means"});
   EXPECT_EQ(run.exit_code, 0) << run.stderr_text;
   EXPECT_EQ(RunCli(cli_, {"stats", "--input", input_}).exit_code, 0);
 }

@@ -1,10 +1,13 @@
 // Tests for the persistent worker pool: every slot runs exactly once per
 // generation, Wait() is a real barrier, generations never overlap, the
 // pool survives many small generations (the workload shape the parallel
-// counter produces), slots can be pinned to cpus, and the persistent-task
-// mode re-runs a published task without reconstructing it.
+// counter produces), slots can be pinned to cpus (AffinityPinPlan gives
+// slot k the k-th allowed cpu), and the persistent-task mode re-runs a
+// published task without reconstructing it.
 
 #include "util/thread_pool.h"
+
+#include <sched.h>
 
 #include <atomic>
 #include <chrono>
@@ -14,7 +17,6 @@
 #include <vector>
 
 #include "gtest/gtest.h"
-#include "util/topology.h"
 
 namespace tristream {
 namespace {
@@ -148,9 +150,9 @@ TEST(ThreadPoolTest, DispatchReusesMostRecentlyPublishedTask) {
 }
 
 TEST(ThreadPoolTest, ConstructionGenerationBuildsSlotOwnedState) {
-  // The parallel counter's placement pattern: a first generation
-  // constructs each slot's state on its own worker (first-touch), later
-  // generations use it, and the caller reads it after the barrier.
+  // A one-shot generation constructs each slot's state on its own
+  // worker, a persistent task then uses it, and the caller reads it after
+  // the barrier.
   constexpr std::size_t kSlots = 4;
   ThreadPool pool(kSlots);
   std::vector<std::unique_ptr<std::vector<std::uint64_t>>> state(kSlots);
@@ -175,19 +177,35 @@ TEST(ThreadPoolTest, PinsSlotsToRequestedCpus) {
   // running on (a hardcoded cpu 0 would fail under restricted cpusets,
   // e.g. docker --cpuset-cpus=2,3) -- and verify both the bookkeeping
   // and where the tasks actually ran.
-  const int here = CurrentCpu();
+  const int here = ::sched_getcpu();
   if (here < 0) GTEST_SKIP() << "no affinity API on this platform";
   ThreadPoolOptions options;
   options.pin_cpus = {here, here, here};
   ThreadPool pool(3, options);
   std::vector<int> ran_on(3, -1);
   pool.Dispatch([&ran_on](std::size_t slot) {
-    ran_on[slot] = CurrentCpu();
+    ran_on[slot] = ::sched_getcpu();
   });
   pool.Wait();
   for (std::size_t slot = 0; slot < 3; ++slot) {
     EXPECT_TRUE(pool.pinned(slot)) << "slot " << slot;
     EXPECT_EQ(ran_on[slot], here) << "slot " << slot;
+  }
+}
+
+TEST(ThreadPoolTest, AffinityPinPlanUsesEveryAllowedCpuBeforeWrapping) {
+  cpu_set_t set;
+  if (::sched_getaffinity(0, sizeof(set), &set) != 0) {
+    GTEST_SKIP() << "no affinity API on this platform";
+  }
+  std::vector<int> allowed;
+  for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
+    if (CPU_ISSET(cpu, &set)) allowed.push_back(cpu);
+  }
+  ASSERT_FALSE(allowed.empty());
+  const std::vector<int> plan = AffinityPinPlan(2 * allowed.size() + 1);
+  for (std::size_t slot = 0; slot < plan.size(); ++slot) {
+    EXPECT_EQ(plan[slot], allowed[slot % allowed.size()]) << "slot " << slot;
   }
 }
 

@@ -25,8 +25,8 @@
 // the paper's algorithm (tsb) or one of the baseline algorithms it is
 // evaluated against -- all driven by the same engine::StreamEngine, so
 // every algorithm sees identical ingest, batching, and failure
-// propagation. `--autotune` replaces the static batch-size default with
-// the engine's calibration sweep.
+// propagation. `--pin 1` binds tsb's worker k to the k-th cpu the process
+// may run on; placement never changes an estimate.
 //
 // `serve` is the multi-tenant network mode (engine/serve.h): one process
 // accepts any number of TRIS connections, each mapped to its own
@@ -100,8 +100,7 @@ int Usage() {
       "           without running any estimator; works on text lists too.\n"
       "  stats    --input FILE\n"
       "  count    --input FILE [--algo A] [--estimators N] [--seed N]\n"
-      "           [--batch W] [--autotune] [--threads T]\n"
-      "           [--pin 0|1] [--numa auto|off] [--numa-replicate]\n"
+      "           [--batch W] [--threads T] [--pin 0|1]\n"
       "           [--simd auto|off|avx2|avx512]\n"
       "           [--mmap 0|1] [--median-of-means]\n"
       "           [--checkpoint PATH [--checkpoint-every N]] [--resume PATH]\n"
@@ -119,11 +118,9 @@ int Usage() {
       "           forward, and continues to estimates bit-identical to an\n"
       "           uninterrupted run with the same flags. tsb, bulk and\n"
       "           dynamic only.\n"
-      "           --pin 1 binds worker k to its planned core (round-robin\n"
-      "           across NUMA nodes); --numa off forces the single-node\n"
-      "           fallback; --numa-replicate stages a per-node copy of\n"
-      "           stable (mmap) batches too. Placement never changes\n"
-      "           estimates, only where the work runs.\n"
+      "           --pin 1 binds tsb worker k to the k-th cpu the process\n"
+      "           may run on. Placement never changes estimates, only\n"
+      "           where the work runs.\n"
       "           --simd picks the vector ISA for the tsb/bulk estimator\n"
       "           sweep (auto = widest the CPU supports; every ISA is\n"
       "           bit-identical, so this only changes throughput).\n"
@@ -203,10 +200,10 @@ const std::map<std::string, std::set<std::string>>& CommandFlags() {
       {"inspect", {"input"}},
       {"stats", {"input"}},
       {"count",
-       {"input", "algo", "estimators", "seed", "batch", "autotune",
-        "threads", "pin", "numa", "numa-replicate", "simd", "mmap",
-        "median-of-means", "checkpoint", "checkpoint-every", "resume",
-        "vertices", "max-degree", "colors", "groups", "sample-prob"}},
+       {"input", "algo", "estimators", "seed", "batch", "threads", "pin",
+        "simd", "mmap", "median-of-means", "checkpoint", "checkpoint-every",
+        "resume", "vertices", "max-degree", "colors", "groups",
+        "sample-prob"}},
       {"window", {"input", "window", "estimators", "seed"}},
       {"live", {"listen", "window", "estimators", "seed", "report"}},
       {"serve",
@@ -224,15 +221,14 @@ const std::map<std::string, std::set<std::string>>& CommandFlags() {
   return kFlags;
 }
 
-/// Flags that take no value.
-bool IsBooleanFlag(const std::string& key) {
-  return key == "median-of-means" || key == "autotune" ||
-         key == "numa-replicate";
-}
-
-/// Minimal flag map: --name value pairs (plus -k and boolean flags).
+/// Minimal flag map: --name value pairs (plus -k and the valueless
+/// --median-of-means). A flag `command` does not read is refused before
+/// its value is looked for, so a misspelled valueless flag is named as
+/// such instead of swallowing the next flag as its value.
 std::map<std::string, std::string> ParseFlags(int argc, char** argv,
-                                              int first) {
+                                              int first,
+                                              const std::string& command) {
+  const auto known = CommandFlags().find(command);
   std::map<std::string, std::string> flags;
   for (int i = first; i < argc; ++i) {
     std::string key = argv[i];
@@ -244,7 +240,12 @@ std::map<std::string, std::string> ParseFlags(int argc, char** argv,
       std::fprintf(stderr, "unexpected argument '%s'\n", argv[i]);
       std::exit(2);
     }
-    if (IsBooleanFlag(key)) {
+    if (known != CommandFlags().end() && known->second.count(key) == 0) {
+      std::fprintf(stderr, "%s does not take flag %s\n", command.c_str(),
+                   FlagSpelling(key).c_str());
+      std::exit(Usage());
+    }
+    if (key == "median-of-means") {
       flags[key] = "1";
       continue;
     }
@@ -283,6 +284,17 @@ std::uint64_t FlagU64(const std::map<std::string, std::string>& flags,
     std::exit(Usage());
   }
   return value;
+}
+
+/// Strict 0|1 switch, same contract as FlagU64.
+bool FlagSwitch(const std::map<std::string, std::string>& flags,
+                const std::string& name, bool fallback) {
+  const auto it = flags.find(name);
+  if (it == flags.end()) return fallback;
+  if (it->second == "0" || it->second == "1") return it->second == "1";
+  std::fprintf(stderr, "flag %s expects 0 or 1, got '%s'\n",
+               FlagSpelling(name).c_str(), it->second.c_str());
+  std::exit(Usage());
 }
 
 /// Strict finite-double parse, same contract as FlagU64.
@@ -579,21 +591,7 @@ int CmdCount(const std::map<std::string, std::string>& flags) {
   if (flags.count("median-of-means")) {
     config.aggregation = core::Aggregation::kMedianOfMeans;
   }
-  // Topology placement (tsb only): --pin binds worker k to its planned
-  // core; --numa off degrades to the single-node substrate everywhere.
-  config.topology.pin_threads = FlagU64(flags, "pin", 0) != 0;
-  if (flags.count("numa")) {
-    const std::string& numa = flags.at("numa");
-    if (numa == "auto") {
-      config.topology.numa = TopologyOptions::Numa::kAuto;
-    } else if (numa == "off") {
-      config.topology.numa = TopologyOptions::Numa::kOff;
-    } else {
-      std::fprintf(stderr, "flag --numa expects 'auto' or 'off', got '%s'\n",
-                   numa.c_str());
-      return Usage();
-    }
-  }
+  config.pin_threads = FlagSwitch(flags, "pin", false);  // tsb only
   if (!ParseSimdFlagInto(flags, &config.simd)) return Usage();
   auto estimator = engine::MakeEstimator(algo, config);
   if (!estimator.ok()) {
@@ -608,7 +606,7 @@ int CmdCount(const std::map<std::string, std::string>& flags) {
   // drop dedup-free ingest via the library API for the fully zero-copy
   // path.)
   stream::EdgeSourceOptions source_options;
-  source_options.prefer_mmap = FlagU64(flags, "mmap", 1) != 0;
+  source_options.prefer_mmap = FlagSwitch(flags, "mmap", true);
   source_options.dedup = true;
   stream::EdgeSourceInfo source_info;
   auto opened = stream::OpenEdgeSource(it->second, source_options,
@@ -622,8 +620,6 @@ int CmdCount(const std::map<std::string, std::string>& flags) {
 
   engine::StreamEngineOptions engine_options;
   engine_options.batch_size = config.batch_size;
-  engine_options.autotune = flags.count("autotune") != 0;
-  engine_options.replicate_stable_views = flags.count("numa-replicate") != 0;
 
   const bool has_checkpoint = flags.count("checkpoint") != 0;
   const bool has_resume = flags.count("resume") != 0;
@@ -631,21 +627,12 @@ int CmdCount(const std::map<std::string, std::string>& flags) {
     std::fprintf(stderr, "--checkpoint-every needs --checkpoint PATH\n");
     return Usage();
   }
-  if (has_checkpoint || has_resume) {
-    if (!(*estimator)->checkpointable()) {
-      std::fprintf(stderr,
-                   "algo '%s' is not checkpointable (tsb, bulk and "
-                   "dynamic are)\n",
-                   (*estimator)->name());
-      return 2;
-    }
-    if (engine_options.autotune) {
-      std::fprintf(stderr,
-                   "--autotune changes batch boundaries, which a resumed "
-                   "run cannot replay; drop it (or pin --batch) to use "
-                   "checkpoints\n");
-      return 2;
-    }
+  if ((has_checkpoint || has_resume) && !(*estimator)->checkpointable()) {
+    std::fprintf(stderr,
+                 "algo '%s' is not checkpointable (tsb, bulk and dynamic "
+                 "are)\n",
+                 (*estimator)->name());
+    return 2;
   }
   if (has_checkpoint) {
     engine_options.checkpoint_path = flags.at("checkpoint");
@@ -722,18 +709,17 @@ int CmdCount(const std::map<std::string, std::string>& flags) {
   std::string substrate;
   if (auto* tsb =
           dynamic_cast<engine::ParallelEstimator*>(estimator->get())) {
-    char buf[96];
-    std::snprintf(buf, sizeof(buf), ", %u shard(s) on %zu node(s)%s",
-                  tsb->counter().num_shards(), tsb->counter().num_nodes(),
+    char buf[64];
+    std::snprintf(buf, sizeof(buf), ", %u shard(s)%s",
+                  tsb->counter().num_shards(),
                   tsb->counter().pinned() ? ", pinned" : "");
     substrate = buf;
   }
   std::printf("time            : %.3f s  (%.2f M edges/s%s)\n",
               m.total_seconds, m.edges_per_second() / 1e6,
               substrate.c_str());
-  std::printf("batches         : %llu x %zu edges (%s)\n",
-              static_cast<unsigned long long>(m.batches), m.batch_size,
-              m.autotuned ? "autotuned" : "static");
+  std::printf("batches         : %llu x %zu edges\n",
+              static_cast<unsigned long long>(m.batches), m.batch_size);
   std::printf("io/compute time : %.3f s / %.3f s (%s ingest)\n",
               m.io_seconds, m.compute_seconds, source_info.reader_name());
   if (m.checkpoints > 0) {
@@ -1143,20 +1129,11 @@ int main(int argc, char** argv) {
   // inspect takes its file as a bare positional ("inspect g.tris") for
   // quick interactive use; --input works too.
   if (command == "inspect" && argc >= 3 && argv[2][0] != '-') {
-    std::map<std::string, std::string> flags{{"input", argv[2]}};
+    auto flags = ParseFlags(argc, argv, 3, command);
+    flags["input"] = argv[2];
     return CmdInspect(flags);
   }
-  const auto flags = ParseFlags(argc, argv, 2);
-  if (const auto known = CommandFlags().find(command);
-      known != CommandFlags().end()) {
-    for (const auto& [name, value] : flags) {
-      if (known->second.count(name) == 0) {
-        std::fprintf(stderr, "%s does not take flag %s\n", command.c_str(),
-                     FlagSpelling(name).c_str());
-        return Usage();
-      }
-    }
-  }
+  const auto flags = ParseFlags(argc, argv, 2, command);
   if (command == "inspect") return CmdInspect(flags);
   if (command == "generate") return CmdGenerate(flags);
   if (command == "stats") return CmdStats(flags);
