@@ -1,4 +1,4 @@
-// Ingest-path shootout: how edges reach the pipelined sharded counter.
+// Ingest-path shootout: how edges reach the bulk counter's workers.
 //
 //   read_then_stream  ReadBinaryEdges materializes the whole file into an
 //                     EdgeList, then the counter absorbs it -- the paper's
@@ -11,9 +11,9 @@
 //                     into the mapping; the producer prefaults the next
 //                     batch's pages while workers absorb (overlap, 0 copy).
 //
-// All three paths feed identical batch boundaries to identically seeded
-// shards, so their estimates must agree to the last bit -- the bench
-// doubles as the ingest-parity check and exits nonzero on divergence.
+// The counter batches every w edges whatever views a path hands it, so
+// the three estimates must agree to the last bit -- the bench doubles as
+// the ingest-parity check and exits nonzero on divergence.
 //
 // The file is written immediately before the runs, so the page cache is
 // warm for every mode: the comparison isolates copy overhead and
@@ -22,7 +22,7 @@
 //   TRISTREAM_BENCH_INGEST_EDGES  edges in the generated file (default 10M)
 //   TRISTREAM_BENCH_R             total estimators         (default 4096)
 //   TRISTREAM_BENCH_THREADS      worker threads            (default 4)
-//   TRISTREAM_BENCH_BATCH        batch size w (0 = auto)   (default 0)
+//   TRISTREAM_BENCH_BATCH        batch size w (0 = 8r)     (default 0)
 //
 // Output: human-readable table on stderr, one JSON document on stdout.
 
@@ -32,7 +32,7 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "core/parallel_counter.h"
+#include "core/triangle_counter.h"
 #include "engine/estimators.h"
 #include "engine/stream_engine.h"
 #include "gen/erdos_renyi.h"
@@ -52,8 +52,8 @@ struct Measurement {
   double triangles = 0.0;
 };
 
-core::ParallelCounterOptions CounterOptions() {
-  core::ParallelCounterOptions options;
+core::TriangleCounterOptions CounterOptions() {
+  core::TriangleCounterOptions options;
   options.num_estimators = bench::EnvU64("TRISTREAM_BENCH_R", 4096);
   options.num_threads = static_cast<std::uint32_t>(
       bench::EnvU64("TRISTREAM_BENCH_THREADS", 4));
@@ -71,7 +71,7 @@ Measurement RunMode(const std::string& mode, const std::string& path,
   out.mode = mode;
   std::uint64_t edges = 0;
   for (int trial = 0; trial < trials; ++trial) {
-    engine::ParallelEstimator estimator(CounterOptions());
+    engine::TsbEstimator estimator(CounterOptions());
     WallTimer timer;
     if (mode == "read_then_stream") {
       WallTimer io_timer;

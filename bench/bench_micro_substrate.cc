@@ -115,6 +115,7 @@ int main() {
     args.m_before = 1000000;
     args.w = 64;
     args.lanes = r;
+    args.lane_base = 0;
     args.bloom = bloom.data();
     args.log2_bits = 13;
     args.r1_uv = r1uv.data();

@@ -1,13 +1,13 @@
-// Parallel-substrate scaling sweep: ingest throughput of the sharded
-// counter's pooled pipeline at 1..8 threads, unpinned and pinned (worker
-// k on the k-th allowed cpu), at equal batch size. Speedups are stated
-// against the unpinned 1-thread run.
+// Parallel-substrate scaling sweep: ingest throughput of the bulk
+// counter on 1..8 worker threads, unpinned and pinned (worker k on the
+// k-th allowed cpu), at equal batch size. Speedups are stated against the
+// unpinned 1-thread run.
 //
 // This is an engineering benchmark (no paper figure): it tracks the
 // per-batch substrate cost (wakeup, barrier, ingest/absorb overlap).
-// Pinning is placement only, so the pinned and unpinned estimates are
-// asserted bit-identical for each (seed, threads) pair, and the sweep
-// doubles as a determinism check.
+// Neither the thread count nor pinning changes a bit of the estimate, so
+// every (threads, pinned) run is asserted bit-identical to the unpinned
+// 1-thread run, and the sweep doubles as a determinism check.
 //
 // The default operating point uses small batches on purpose: that is the
 // regime where the per-batch substrate cost dominates per-edge work,
@@ -18,7 +18,7 @@
 // document on stdout (CI uploads it as an artifact). Extra knobs
 // on top of the standard bench env vars:
 //   TRISTREAM_BENCH_R        total estimators        (default 4096)
-//   TRISTREAM_BENCH_BATCH    shared batch size w     (default 64)
+//   TRISTREAM_BENCH_BATCH    batch size w            (default 64)
 //   TRISTREAM_BENCH_THREADS  max thread count swept  (default 8)
 //   TRISTREAM_BENCH_SIMD     lane-sweep dispatch     (default auto)
 //
@@ -32,7 +32,7 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "core/parallel_counter.h"
+#include "core/triangle_counter.h"
 #include "engine/estimators.h"
 #include "util/simd.h"
 
@@ -57,14 +57,14 @@ Measurement RunOne(const bench::DatasetInstance& instance, std::uint64_t r,
   out.threads = threads;
   out.pinned = pin;
   for (int trial = 0; trial < trials; ++trial) {
-    core::ParallelCounterOptions options;
+    core::TriangleCounterOptions options;
     options.num_estimators = r;
     options.num_threads = threads;
-    options.seed = bench::BenchSeed() * 7919 + 13;  // fixed across modes
+    options.seed = bench::BenchSeed() * 7919 + 13;  // fixed across runs
     options.batch_size = batch;
     options.pin_threads = pin;
     options.simd = simd;
-    engine::ParallelEstimator estimator(options);
+    engine::TsbEstimator estimator(options);
     WallTimer timer;
     bench::RunThroughEngine(estimator, instance.stream, batch);
     seconds.push_back(timer.Seconds());
@@ -101,7 +101,7 @@ int main() {
   const char* isa_name = SimdIsaName(*ResolveSimdIsa(simd));
 
   std::fprintf(stderr,
-               "parallel scaling sweep: pooled pipeline, unpinned and pinned\n"
+               "parallel scaling sweep: worker threads, unpinned and pinned\n"
                "r=%llu batch=%zu trials=%d scale=%.3g simd=%s (isa %s)\n",
                static_cast<unsigned long long>(r), batch, trials,
                bench::BenchScale(), SimdModeName(simd), isa_name);
@@ -116,26 +116,30 @@ int main() {
 
   std::vector<Measurement> results;
   bool bit_identical = true;
-  double one_thread_seconds = 0.0;
+  Measurement baseline;  // the unpinned 1-thread run
   for (std::uint32_t threads = 1; threads <= max_threads; threads *= 2) {
     const Measurement pooled = RunOne(instance, r, batch, threads,
                                       /*pin=*/false, simd, trials);
     const Measurement pinned = RunOne(instance, r, batch, threads,
                                       /*pin=*/true, simd, trials);
-    if (threads == 1) one_thread_seconds = pooled.median_seconds;
-    // Same (seed, threads) => placement must not move a single bit.
-    if (pooled.triangles != pinned.triangles ||
-        pooled.wedges != pinned.wedges) {
-      bit_identical = false;
-      std::fprintf(stderr, "ERROR: estimates diverge at %u threads!\n",
-                   threads);
+    if (threads == 1) baseline = pooled;
+    // Neither threads nor placement may move a single bit.
+    for (const Measurement& m : {pooled, pinned}) {
+      if (m.triangles != baseline.triangles ||
+          m.wedges != baseline.wedges) {
+        bit_identical = false;
+        std::fprintf(stderr,
+                     "ERROR: %u threads (%s) diverge from the unpinned "
+                     "1-thread run!\n",
+                     threads, m.pinned ? "pinned" : "unpinned");
+      }
     }
     for (const Measurement& m : {pooled, pinned}) {
       std::fprintf(stderr, "%8u | %10s | %12.4f | %12.2f | %10.2fx\n",
                    m.threads, m.pinned ? "pinned" : "unpinned",
                    m.median_seconds, m.meps,
                    m.median_seconds > 0.0
-                       ? one_thread_seconds / m.median_seconds
+                       ? baseline.median_seconds / m.median_seconds
                        : 0.0);
     }
     results.push_back(pooled);

@@ -11,7 +11,7 @@
 #include <cstdio>
 #include <string>
 
-#include "core/parallel_counter.h"
+#include "core/triangle_counter.h"
 #include "engine/estimators.h"
 #include "engine/stream_engine.h"
 #include "gen/holme_kim.h"
@@ -45,11 +45,11 @@ int main() {
   }
   stream::EdgeStream& source = **opened;
 
-  core::ParallelCounterOptions options;
+  core::TriangleCounterOptions options;
   options.num_estimators = 1 << 17;
   options.num_threads = 2;
   options.seed = 23;
-  engine::ParallelEstimator estimator(options);
+  engine::TsbEstimator estimator(options);
 
   engine::StreamEngine engine;
   // The open can succeed and the stream still die mid-read (truncation,

@@ -260,7 +260,7 @@ Result<CheckpointInfo> DecodeCheckpoint(
   if (info.fingerprint != estimator.config_fingerprint()) {
     return Status::InvalidArgument(
         "checkpoint config fingerprint mismatch: snapshot was taken with a "
-        "different (r, seed, shards, batch, window) configuration of '" +
+        "different (r, seed, batch, window) configuration of '" +
         info.estimator + "' -- resume with the exact flags of the original "
         "run");
   }

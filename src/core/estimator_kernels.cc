@@ -15,7 +15,7 @@ SweepCounts LaneSweepScalar(const SweepArgs& args) {
     // Filterless mode (large w relative to r): every lane is a candidate.
     for (std::uint64_t lane = 0; lane < args.lanes; ++lane) {
       const CounterRng::Block block =
-          CounterRng::Draw(args.seed, lane, args.batch_no);
+          CounterRng::Draw(args.seed, args.lane_base + lane, args.batch_no);
       args.draw2[lane] = block.x1;
       args.candidates[lane] = static_cast<std::uint32_t>(lane);
       const std::uint64_t pick = MulHi64(block.x0, bound);
@@ -31,7 +31,7 @@ SweepCounts LaneSweepScalar(const SweepArgs& args) {
   }
   for (std::uint64_t lane = 0; lane < args.lanes; ++lane) {
     const CounterRng::Block block =
-        CounterRng::Draw(args.seed, lane, args.batch_no);
+        CounterRng::Draw(args.seed, args.lane_base + lane, args.batch_no);
     const std::uint64_t pick = MulHi64(block.x0, bound);
     bool candidate;
     if (pick >= args.m_before) {

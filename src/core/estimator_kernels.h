@@ -3,8 +3,9 @@
 // contract). One pass over all r estimator lanes does, per lane:
 //
 //   1. Draw the lane's Threefry block for this batch (streams are keyed
-//      (seed, lane) at counter batch_no, so lanes are independent and any
-//      SIMD width computes the same bits).
+//      (seed, global lane id) at counter batch_no, so lanes are
+//      independent and any SIMD width or lane range computes the same
+//      bits).
 //   2. Decide the level-1 reservoir replacement from word 0:
 //      pick = mulhi(x0, m+w); replace iff pick >= m, chosen batch offset
 //      pick - m. Replacing lanes are emitted (ascending) for the scalar
@@ -58,7 +59,10 @@ struct SweepArgs {
   std::uint64_t batch_no;  // batch counter = Threefry counter word
   std::uint64_t m_before;  // edges applied before this batch
   std::uint64_t w;         // edges in this batch (>= 1)
-  std::uint64_t lanes;     // number of estimators r
+  std::uint64_t lanes;     // lanes in this sweep
+  std::uint64_t lane_base;  // global id of lane 0: lane i draws stream
+                            //   (seed, lane_base + i); the arrays and out
+                            //   lists below use the local index i
   const std::uint64_t* bloom;  // batch-vertex Bloom bit array, or nullptr
                                //   for filterless mode: every lane becomes
                                //   a candidate (used when w is large

@@ -123,7 +123,8 @@ SweepCounts LaneSweepAvx2(const SweepArgs& args) {
     // scalar append.
     for (; lane + 4 <= args.lanes; lane += 4) {
       const __m256i lane_v = _mm256_add_epi64(
-          _mm256_set1_epi64x(static_cast<long long>(lane)), lane_step);
+          _mm256_set1_epi64x(static_cast<long long>(args.lane_base + lane)),
+          lane_step);
       __m256i x0, x1;
       ThreefryV(seed_v, lane_v, counter_v, &x0, &x1);
       _mm256_storeu_si256(reinterpret_cast<__m256i*>(args.draw2 + lane), x1);
@@ -146,7 +147,7 @@ SweepCounts LaneSweepAvx2(const SweepArgs& args) {
     }
     for (; lane < args.lanes; ++lane) {
       const CounterRng::Block block =
-          CounterRng::Draw(args.seed, lane, args.batch_no);
+          CounterRng::Draw(args.seed, args.lane_base + lane, args.batch_no);
       args.draw2[lane] = block.x1;
       const std::uint64_t pick = MulHi64(block.x0, args.m_before + args.w);
       if (pick >= args.m_before) {
@@ -164,7 +165,8 @@ SweepCounts LaneSweepAvx2(const SweepArgs& args) {
   }
   for (; lane + 4 <= args.lanes; lane += 4) {
     const __m256i lane_v = _mm256_add_epi64(
-        _mm256_set1_epi64x(static_cast<long long>(lane)), lane_step);
+        _mm256_set1_epi64x(static_cast<long long>(args.lane_base + lane)),
+        lane_step);
     __m256i x0, x1;
     ThreefryV(seed_v, lane_v, counter_v, &x0, &x1);
     const __m256i pick = MulHi64V(x0, bound_v);
@@ -215,7 +217,7 @@ SweepCounts LaneSweepAvx2(const SweepArgs& args) {
   }
   for (; lane < args.lanes; ++lane) {
     const CounterRng::Block block =
-        CounterRng::Draw(args.seed, lane, args.batch_no);
+        CounterRng::Draw(args.seed, args.lane_base + lane, args.batch_no);
     const std::uint64_t pick = MulHi64(block.x0, args.m_before + args.w);
     bool candidate;
     if (pick >= args.m_before) {

@@ -18,18 +18,38 @@ namespace core {
 namespace kernels {
 namespace {
 
+// GCC 12's unmasked wrappers for the shifts, multiply, rotate and gather
+// used here merge into _mm512_undefined_epi32(), which -Wuninitialized
+// and -Wmaybe-uninitialized flag at every call site. The all-lanes
+// zero-masked forms take a defined source and compile to the same
+// unmasked instructions.
+constexpr __mmask8 kAllLanes = 0xFF;
+
+inline __m512i MulEpu32(__m512i a, __m512i b) {
+  return _mm512_maskz_mul_epu32(kAllLanes, a, b);
+}
+inline __m512i SrliEpi64(__m512i a, unsigned count) {
+  return _mm512_maskz_srli_epi64(kAllLanes, a, count);
+}
+inline __m512i SlliEpi64(__m512i a, unsigned count) {
+  return _mm512_maskz_slli_epi64(kAllLanes, a, count);
+}
+inline __m512i SrlvEpi64(__m512i a, __m512i count) {
+  return _mm512_maskz_srlv_epi64(kAllLanes, a, count);
+}
+
 inline __m512i MulHi64V(__m512i a, __m512i b) {
   const __m512i lo_mask = _mm512_set1_epi64(0xffffffffLL);
-  const __m512i ah = _mm512_srli_epi64(a, 32);
-  const __m512i bh = _mm512_srli_epi64(b, 32);
-  const __m512i ll = _mm512_mul_epu32(a, b);
-  const __m512i hl = _mm512_mul_epu32(ah, b);
-  const __m512i lh = _mm512_mul_epu32(a, bh);
-  const __m512i hh = _mm512_mul_epu32(ah, bh);
-  const __m512i t = _mm512_add_epi64(hl, _mm512_srli_epi64(ll, 32));
+  const __m512i ah = SrliEpi64(a, 32);
+  const __m512i bh = SrliEpi64(b, 32);
+  const __m512i ll = MulEpu32(a, b);
+  const __m512i hl = MulEpu32(ah, b);
+  const __m512i lh = MulEpu32(a, bh);
+  const __m512i hh = MulEpu32(ah, bh);
+  const __m512i t = _mm512_add_epi64(hl, SrliEpi64(ll, 32));
   const __m512i u = _mm512_add_epi64(lh, _mm512_and_si512(t, lo_mask));
-  return _mm512_add_epi64(_mm512_add_epi64(hh, _mm512_srli_epi64(t, 32)),
-                          _mm512_srli_epi64(u, 32));
+  return _mm512_add_epi64(_mm512_add_epi64(hh, SrliEpi64(t, 32)),
+                          SrliEpi64(u, 32));
 }
 
 // Two independent straight-line Threefry-2x64-13 chains (same rounds and
@@ -39,7 +59,8 @@ inline __m512i MulHi64V(__m512i a, __m512i b) {
 // data dependence on the first fills those slots and nearly doubles
 // throughput. Straight-lining keeps every rotate count an immediate for
 // the native vprolq (a loop-carried count would force the three-op
-// shift/shift/or fallback).
+// shift/shift/or fallback). The rotate is the all-lanes masked form for
+// the reason given at kAllLanes.
 inline void ThreefryV2(__m512i seed, __m512i lane_a, __m512i lane_b,
                        __m512i counter, __m512i* out0a, __m512i* out1a,
                        __m512i* out0b, __m512i* out1b) {
@@ -54,11 +75,11 @@ inline void ThreefryV2(__m512i seed, __m512i lane_a, __m512i lane_b,
   __m512i x1a = lane_a;
   __m512i x0b = _mm512_add_epi64(counter, ks0);
   __m512i x1b = lane_b;
-#define TRISTREAM_TF_ROUND(rot)                                \
-  x0a = _mm512_add_epi64(x0a, x1a);                            \
-  x0b = _mm512_add_epi64(x0b, x1b);                            \
-  x1a = _mm512_xor_si512(_mm512_rol_epi64(x1a, (rot)), x0a);   \
-  x1b = _mm512_xor_si512(_mm512_rol_epi64(x1b, (rot)), x0b);
+#define TRISTREAM_TF_ROUND(rot)                                         \
+  x0a = _mm512_add_epi64(x0a, x1a);                                     \
+  x0b = _mm512_add_epi64(x0b, x1b);                                     \
+  x1a = _mm512_xor_si512(_mm512_maskz_rol_epi64(kAllLanes, x1a, (rot)), x0a); \
+  x1b = _mm512_xor_si512(_mm512_maskz_rol_epi64(kAllLanes, x1b, (rot)), x0b);
 #define TRISTREAM_TF_INJECT(kaa, kab, kba, kbb, i)             \
   {                                                            \
     const __m512i inc = _mm512_set1_epi64(i);                  \
@@ -96,17 +117,17 @@ inline __m512i BloomHashV(__m512i v) {
       static_cast<long long>(kBloomHashMul & 0xffffffffULL));
   const __m512i mul_hi =
       _mm512_set1_epi64(static_cast<long long>(kBloomHashMul >> 32));
-  return _mm512_add_epi64(_mm512_slli_epi64(_mm512_mul_epu32(v, mul_hi), 32),
-                          _mm512_mul_epu32(v, mul_lo));
+  return _mm512_add_epi64(SlliEpi64(MulEpu32(v, mul_hi), 32),
+                          MulEpu32(v, mul_lo));
 }
 
 inline __m512i BloomProbeV(const std::uint64_t* bloom, __m512i vertices,
                            int shift) {
-  const __m512i bit = _mm512_srli_epi64(BloomHashV(vertices), shift);
-  const __m512i word =
-      _mm512_i64gather_epi64(_mm512_srli_epi64(bit, 6), bloom, 8);
+  const __m512i bit = SrliEpi64(BloomHashV(vertices), shift);
+  const __m512i word = _mm512_mask_i64gather_epi64(
+      _mm512_setzero_si512(), kAllLanes, SrliEpi64(bit, 6), bloom, 8);
   return _mm512_and_si512(
-      _mm512_srlv_epi64(word, _mm512_and_si512(bit, _mm512_set1_epi64(63))),
+      SrlvEpi64(word, _mm512_and_si512(bit, _mm512_set1_epi64(63))),
       _mm512_set1_epi64(1));
 }
 
@@ -157,7 +178,8 @@ SweepCounts LaneSweepAvx512(const SweepArgs& args) {
     // scalar append.
     for (; lane + 16 <= args.lanes; lane += 16) {
       const __m512i lane_va = _mm512_add_epi64(
-          _mm512_set1_epi64(static_cast<long long>(lane)), lane_step);
+          _mm512_set1_epi64(static_cast<long long>(args.lane_base + lane)),
+          lane_step);
       const __m512i lane_vb = _mm512_add_epi64(lane_va, eight);
       __m512i x0a, x1a, x0b, x1b;
       ThreefryV2(seed_v, lane_va, lane_vb, counter_v, &x0a, &x1a, &x0b, &x1b);
@@ -172,7 +194,7 @@ SweepCounts LaneSweepAvx512(const SweepArgs& args) {
     }
     for (; lane < args.lanes; ++lane) {
       const CounterRng::Block block =
-          CounterRng::Draw(args.seed, lane, args.batch_no);
+          CounterRng::Draw(args.seed, args.lane_base + lane, args.batch_no);
       args.draw2[lane] = block.x1;
       const std::uint64_t pick = MulHi64(block.x0, args.m_before + args.w);
       if (pick >= args.m_before) {
@@ -190,7 +212,8 @@ SweepCounts LaneSweepAvx512(const SweepArgs& args) {
   }
   for (; lane + 16 <= args.lanes; lane += 16) {
     const __m512i lane_va = _mm512_add_epi64(
-        _mm512_set1_epi64(static_cast<long long>(lane)), lane_step);
+        _mm512_set1_epi64(static_cast<long long>(args.lane_base + lane)),
+        lane_step);
     const __m512i lane_vb = _mm512_add_epi64(lane_va, eight);
     __m512i x0a, x1a, x0b, x1b;
     ThreefryV2(seed_v, lane_va, lane_vb, counter_v, &x0a, &x1a, &x0b, &x1b);
@@ -206,9 +229,9 @@ SweepCounts LaneSweepAvx512(const SweepArgs& args) {
     const __m512i uva = _mm512_loadu_si512(args.r1_uv + lane);
     const __m512i uvb = _mm512_loadu_si512(args.r1_uv + lane + 8);
     const __m512i ua = _mm512_and_si512(uva, lo32);
-    const __m512i va = _mm512_srli_epi64(uva, 32);
+    const __m512i va = SrliEpi64(uva, 32);
     const __m512i ub = _mm512_and_si512(uvb, lo32);
-    const __m512i vb = _mm512_srli_epi64(uvb, 32);
+    const __m512i vb = SrliEpi64(uvb, 32);
     const __m512i hit_a = _mm512_or_si512(BloomProbeV(args.bloom, ua, shift),
                                           BloomProbeV(args.bloom, va, shift));
     const __m512i hit_b = _mm512_or_si512(BloomProbeV(args.bloom, ub, shift),
@@ -220,7 +243,7 @@ SweepCounts LaneSweepAvx512(const SweepArgs& args) {
   }
   for (; lane < args.lanes; ++lane) {
     const CounterRng::Block block =
-        CounterRng::Draw(args.seed, lane, args.batch_no);
+        CounterRng::Draw(args.seed, args.lane_base + lane, args.batch_no);
     const std::uint64_t pick = MulHi64(block.x0, args.m_before + args.w);
     bool candidate;
     if (pick >= args.m_before) {

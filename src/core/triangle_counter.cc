@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <limits>
 
 #include "core/estimator_kernels.h"
 #include "util/logging.h"
@@ -42,8 +41,8 @@ std::size_t FilterBytes(int log2_bits) {
   return (std::size_t{1} << log2_bits) / 8;
 }
 
-// The batch tables' sizing rules, shared by ApplyBatch and
-// SteadyStateBytes. The lane-sweep Bloom filter runs only on batches small
+// The batch tables' sizing rules, shared by the batch pipeline and
+// MemoryBytes. The lane-sweep Bloom filter runs only on batches small
 // against r, with 128 bits per edge; Q starts at kInitialClosers entries
 // and holds one entry and ~8 filter bits per candidate lane, capped for
 // pathological r.
@@ -140,7 +139,6 @@ TriangleCounter::TriangleCounter(const TriangleCounterOptions& options)
       r1_pos_(options.num_estimators, kInvalidEdgeIndex),
       c_(options.num_estimators, 0),
       r1_uv_(options.num_estimators, 0),
-      closers_(kInitialClosers),
       closer_chain_(options.num_estimators),
       draw2_(options.num_estimators, 0),
       replacers_(options.num_estimators, 0),
@@ -150,24 +148,47 @@ TriangleCounter::TriangleCounter(const TriangleCounterOptions& options)
   // Chain heads and lane lists index estimators with 32-bit values.
   TRISTREAM_CHECK(options.num_estimators < kNil);
   TRISTREAM_CHECK(batch_size_ > 0);
-  // The parallel wrapper passes an effectively-infinite batch size to
-  // disable self-batching (it owns batch boundaries); pending_ then takes
-  // the size of the first batch handed over. Otherwise reserve one batch,
-  // capped for huge w.
-  if (batch_size_ != std::numeric_limits<std::size_t>::max()) {
-    pending_.reserve(std::min<std::size_t>(batch_size_, std::size_t{1} << 22));
+  const auto r = static_cast<std::uint32_t>(options.num_estimators);
+  const std::uint32_t workers = std::min(options.num_threads, r);
+  // One buffer per batch in flight, capped for huge w.
+  const std::size_t reserve =
+      std::min<std::size_t>(batch_size_, std::size_t{1} << 22);
+  pending_.reserve(reserve);
+  // Contiguous lane ranges, the first r % T one lane longer.
+  const std::uint32_t num_ranges = std::max<std::uint32_t>(workers, 1);
+  ranges_.resize(num_ranges);
+  std::uint32_t first = 0;
+  for (std::uint32_t k = 0; k < num_ranges; ++k) {
+    ranges_[k].first = first;
+    first += r / num_ranges + (k < r % num_ranges ? 1 : 0);
+    ranges_[k].end = first;
+    ranges_[k].closers.Reset(kInitialClosers);
   }
+  if (workers == 0) return;
+  absorbing_.reserve(reserve);
+  tables_built_ = std::make_unique<std::barrier<>>(workers);
+  ThreadPoolOptions pool_options;
+  if (options.pin_threads) pool_options.pin_cpus = AffinityPinPlan(workers);
+  pool_ = std::make_unique<ThreadPool>(workers, pool_options);
+  all_pinned_ = options.pin_threads;
+  for (std::uint32_t k = 0; k < workers && all_pinned_; ++k) {
+    all_pinned_ = pool_->pinned(k);
+  }
+  // Published once: each batch re-dispatches it without constructing a
+  // std::function.
+  pool_->SetTask([this](std::size_t slot) { RunBatch(slot); });
 }
 
 void TriangleCounter::ProcessEdge(const Edge& e) {
+  if (view_in_flight_) WaitForInFlight();
   pending_.push_back(e);
-  if (pending_.size() >= batch_size_) Flush();
+  if (pending_.size() >= batch_size_) SubmitPending();
 }
 
 void TriangleCounter::ProcessEdges(std::span<const Edge> edges) {
-  // Bulk-append up to each batch boundary instead of pushing edge-by-edge;
-  // pending_.size() never exceeds batch_size_, so the subtraction is safe
-  // even when batch_size_ is the wrapper-owned SIZE_MAX sentinel.
+  // The caller may reuse a view's memory once this call returns.
+  if (view_in_flight_) WaitForInFlight();
+  // Bulk-append up to each batch boundary instead of pushing edge-by-edge.
   std::size_t offset = 0;
   while (offset < edges.size()) {
     const std::size_t take =
@@ -175,21 +196,102 @@ void TriangleCounter::ProcessEdges(std::span<const Edge> edges) {
     pending_.insert(pending_.end(), edges.begin() + offset,
                     edges.begin() + offset + take);
     offset += take;
-    if (pending_.size() >= batch_size_) Flush();
+    if (pending_.size() >= batch_size_) SubmitPending();
   }
 }
 
+void TriangleCounter::AbsorbBatchView(std::span<const Edge> view) {
+  if (!pending_.empty() || view.size() != batch_size_) {
+    ProcessEdges(view);
+    return;
+  }
+  WaitForInFlight();
+  StartBatch(view);
+  view_in_flight_ = in_flight_;
+}
+
 void TriangleCounter::Flush() {
-  if (pending_.empty()) return;
-  ApplyBatch(pending_);
-  applied_edges_ += pending_.size();
+  if (!pending_.empty()) SubmitPending();
+  WaitForInFlight();
+}
+
+void TriangleCounter::SubmitPending() {
+  WaitForInFlight();
+  if (pool_ != nullptr) {
+    // The workers take the filled buffer; the caller fills the other one.
+    pending_.swap(absorbing_);
+    StartBatch(absorbing_);
+  } else {
+    StartBatch(pending_);
+  }
   pending_.clear();
 }
 
-void TriangleCounter::ApplyBatch(std::span<const Edge> batch) {
-  const std::uint64_t m_before = applied_edges_;
+void TriangleCounter::StartBatch(std::span<const Edge> batch) {
   const std::uint64_t w = batch.size();
   const std::uint64_t r = cold_.size();
+  // The lane-sweep filter gets 64 bits per inserted vertex (at most 2w): a
+  // false positive sends a lane through two index probes, so at r >> w
+  // lanes even a few percent would dominate the batch. For batches large
+  // relative to r nearly every lane has an in-batch endpoint anyway, and
+  // the filter outgrows cache, so run filterless -- the kernel then marks
+  // every lane a candidate. The cutoff is a pure function of (w, r), never
+  // of the ISA or the lane ranges, so dispatch stays bit-identical.
+  job_.edges = batch;
+  job_.m_before = applied_edges_;
+  job_.batch_no = batch_no_;
+  job_.use_filter = UseBloomFilter(w, r);
+  job_.log2_bits = job_.use_filter ? BloomLog2Bits(w) : 6;
+  applied_edges_ += w;
+  ++batch_no_;
+  if (pool_ == nullptr) {
+    RunBatch(0);
+    return;
+  }
+  pool_->Dispatch();
+  in_flight_ = true;
+}
+
+void TriangleCounter::WaitForInFlight() {
+  if (!in_flight_) return;
+  pool_->Wait();
+  in_flight_ = false;
+  view_in_flight_ = false;
+}
+
+void TriangleCounter::RunBatch(std::size_t slot) {
+  if (slot == 0) BuildBatchTables();
+  if (ranges_.size() > 1) tables_built_->arrive_and_wait();
+  AbsorbLanes(ranges_[slot]);
+}
+
+void TriangleCounter::BuildBatchTables() {
+  if (job_.use_filter) {
+    bloom_.assign(std::size_t{1} << (job_.log2_bits - 6), 0);
+    for (const Edge& e : job_.edges) {
+      const std::uint64_t bit_u = kernels::BloomBitIndex(e.u, job_.log2_bits);
+      const std::uint64_t bit_v = kernels::BloomBitIndex(e.v, job_.log2_bits);
+      bloom_[bit_u >> 6] |= std::uint64_t{1} << (bit_u & 63);
+      bloom_[bit_v >> 6] |= std::uint64_t{1} << (bit_v & 63);
+    }
+  }
+  // Algorithm 2, once: every edge's β snapshot and every vertex's EVENTB
+  // positions (core/bulk_engine.h).
+  index_.Build(job_.edges);
+}
+
+void TriangleCounter::AbsorbLanes(LaneRange& range) {
+  const std::span<const Edge> batch = job_.edges;
+  const std::uint64_t m_before = job_.m_before;
+  const std::uint64_t w = batch.size();
+  // The range's slices of the lane-sized scratch arrays. Lists hold
+  // range-local lane indices; `first + i` is the global lane.
+  const std::uint32_t first = range.first;
+  std::uint32_t* const replacers = replacers_.data() + first;
+  std::uint32_t* const replace_batch_idx = replace_batch_idx_.data() + first;
+  std::uint32_t* const candidates = candidates_.data() + first;
+  std::uint64_t* const draw2 = draw2_.data() + first;
+  CloserLink* const closer_chain = closer_chain_.data() + first;
 
   // ---------------------------------------------------------------------
   // Step 0 -- fused lane sweep (SIMD kernel). Every estimator draws its
@@ -201,39 +303,18 @@ void TriangleCounter::ApplyBatch(std::span<const Edge> batch) {
   // when one of its endpoints gained in-batch neighbors. No false
   // negatives -- a filtered lane's endpoints are absent from the batch,
   // and replacing lanes are candidates unconditionally. Lanes are
-  // independent streams keyed (seed, lane), so every ISA produces the
-  // same bits.
+  // independent streams keyed (seed, global lane), so every ISA and every
+  // lane range produces the same bits.
   // ---------------------------------------------------------------------
-  // The filter gets 64 bits per inserted vertex (at most 2w): a false
-  // positive sends a lane through two index probes, so at r >> w lanes
-  // even a few percent would dominate the batch. For batches large
-  // relative to r nearly every lane has an in-batch endpoint anyway, and
-  // the filter outgrows cache, so run filterless -- the kernel then marks
-  // every lane a candidate. The cutoff is a pure function of (w, r), never
-  // of the ISA, so dispatch stays bit-identical.
-  const bool use_filter = UseBloomFilter(w, r);
-  const int log2_bits = use_filter ? BloomLog2Bits(w) : 6;
-  if (use_filter) {
-    bloom_.assign(std::size_t{1} << (log2_bits - 6), 0);
-    for (const Edge& e : batch) {
-      const std::uint64_t bit_u = kernels::BloomBitIndex(e.u, log2_bits);
-      const std::uint64_t bit_v = kernels::BloomBitIndex(e.v, log2_bits);
-      bloom_[bit_u >> 6] |= std::uint64_t{1} << (bit_u & 63);
-      bloom_[bit_v >> 6] |= std::uint64_t{1} << (bit_v & 63);
-    }
-  }
   const kernels::SweepCounts counts = kernels_->lane_sweep(
-      {.seed = options_.seed, .batch_no = batch_no_, .m_before = m_before,
-       .w = w, .lanes = r, .bloom = use_filter ? bloom_.data() : nullptr,
-       .log2_bits = log2_bits, .r1_uv = r1_uv_.data(),
-       .replacers = replacers_.data(), .batch_idx = replace_batch_idx_.data(),
-       .candidates = candidates_.data(), .draw2 = draw2_.data()});
+      {.seed = options_.seed, .batch_no = job_.batch_no, .m_before = m_before,
+       .w = w, .lanes = range.end - first, .lane_base = first,
+       .bloom = job_.use_filter ? bloom_.data() : nullptr,
+       .log2_bits = job_.log2_bits, .r1_uv = r1_uv_.data() + first,
+       .replacers = replacers, .batch_idx = replace_batch_idx,
+       .candidates = candidates, .draw2 = draw2});
   const std::size_t num_replacers = counts.replacers;
   const std::size_t num_candidates = counts.candidates;
-
-  // Algorithm 2, once: every edge's β snapshot and every vertex's EVENTB
-  // positions (core/bulk_engine.h).
-  index_.Build(batch);
 
   // ---------------------------------------------------------------------
   // Steps 1, 2a, 2b -- one pass over the candidate lanes. A replacing lane
@@ -246,9 +327,11 @@ void TriangleCounter::ApplyBatch(std::span<const Edge> batch) {
   // sized by the candidate count; with few candidates they stay in cache.
   // The filter (~8 bits per candidate) lets the closer pass skip the Q
   // probe for the batch edges that close nothing, nearly all of them.
-  closers_.Reset(CloserEntries(num_candidates));
+  FlatHashMap<std::uint32_t>& closers = range.closers;
+  std::vector<std::uint64_t>& closer_filter = range.closer_filter;
+  closers.Reset(CloserEntries(num_candidates));
   const int closer_log2_bits = CloserLog2Bits(num_candidates);
-  closer_filter_.assign(std::size_t{1} << (closer_log2_bits - 6), 0);
+  closer_filter.assign(std::size_t{1} << (closer_log2_bits - 6), 0);
   const auto closer_bit = [&](std::uint64_t key) {
     return (key * kernels::kBloomHashMul) >> (64 - closer_log2_bits);
   };
@@ -263,9 +346,9 @@ void TriangleCounter::ApplyBatch(std::span<const Edge> batch) {
     const Edge r1(UvLo(uv), UvHi(uv));
     const std::uint64_t key = ClosingEdge(r1, cold_[est_idx].r2).Key();
     const std::uint64_t bit = closer_bit(key);
-    closer_filter_[bit >> 6] |= std::uint64_t{1} << (bit & 63);
-    std::uint32_t& head = closers_[key];
-    closer_chain_[k] = {head == 0 ? kNil : head - 1, from};
+    closer_filter[bit >> 6] |= std::uint64_t{1} << (bit & 63);
+    std::uint32_t& head = closers[key];
+    closer_chain[k] = {head == 0 ? kNil : head - 1, from};
     head = k + 1;
   };
 
@@ -273,11 +356,11 @@ void TriangleCounter::ApplyBatch(std::span<const Edge> batch) {
   // two-pointer merge pairs each replacer with its chosen batch edge.
   std::size_t kr = 0;
   for (std::size_t k = 0; k < num_candidates; ++k) {
-    const std::uint32_t i = candidates_[k];
+    const std::uint32_t i = first + candidates[k];
     if (k + 8 < num_candidates) {
       // The lane indices are data-dependent; hint the lane-indexed arrays a
       // few candidates ahead so their cache misses overlap this iteration.
-      const std::uint32_t pi = candidates_[k + 8];
+      const std::uint32_t pi = first + candidates[k + 8];
       __builtin_prefetch(&c_[pi]);
       __builtin_prefetch(&cold_[pi]);
       __builtin_prefetch(&r1_uv_[pi]);
@@ -285,8 +368,8 @@ void TriangleCounter::ApplyBatch(std::span<const Edge> batch) {
     ColdState& st = cold_[i];
     std::uint64_t uv;
     BatchIndex::Position ends = {{0, 0}, {0, 0}};  // r1's endpoint ids, β
-    if (kr < num_replacers && replacers_[kr] == i) {
-      const std::uint32_t pos = replace_batch_idx_[kr++];
+    if (kr < num_replacers && first + replacers[kr] == i) {
+      const std::uint32_t pos = replace_batch_idx[kr++];
       uv = PackUv(batch[pos].u, batch[pos].v);
       r1_uv_[i] = uv;
       r1_pos_[i] = m_before + pos;
@@ -311,9 +394,9 @@ void TriangleCounter::ApplyBatch(std::span<const Edge> batch) {
     const std::uint64_t c_minus = c_[i];
     const std::uint64_t c_total = c_minus + a + b;
     c_[i] = c_total;
-    // randInt(1, c_total) from the lane's second Threefry word; draw2_ is
-    // compacted alongside candidates_, so index by list position.
-    const std::uint64_t phi = 1 + MulHi64(draw2_[k], c_total);
+    // randInt(1, c_total) from the lane's second Threefry word; draw2 is
+    // compacted alongside candidates, so index by list position.
+    const std::uint64_t phi = 1 + MulHi64(draw2[k], c_total);
     if (phi <= c_minus) {
       // Keep the current r2; its wedge may still be closed by a batch edge.
       if (st.r2_pos != kInvalidEdgeIndex && !st.has_triangle) {
@@ -341,22 +424,21 @@ void TriangleCounter::ApplyBatch(std::span<const Edge> batch) {
   // Steps 2c + 3 -- the one remaining pass over the batch (the paper's
   // Sec. 4 notes merge these): each edge closes the subscribed wedges
   // whose r2 precedes it.
-  if (!closers_.empty()) {
+  if (!closers.empty()) {
     for (std::size_t j = 0; j < w; ++j) {
       const std::uint64_t key = batch[j].Key();
       const std::uint64_t bit = closer_bit(key);
-      if ((closer_filter_[bit >> 6] >> (bit & 63) & 1) == 0) continue;
-      const std::uint32_t* head = closers_.Find(key);
+      if ((closer_filter[bit >> 6] >> (bit & 63) & 1) == 0) continue;
+      const std::uint32_t* head = closers.Find(key);
       if (head == nullptr) continue;
       for (std::uint32_t k = *head - 1; k != kNil;
-           k = closer_chain_[k].next) {
-        if (j >= closer_chain_[k].from) {
-          cold_[candidates_[k]].has_triangle = true;
+           k = closer_chain[k].next) {
+        if (j >= closer_chain[k].from) {
+          cold_[first + candidates[k]].has_triangle = true;
         }
       }
     }
   }
-  ++batch_no_;
 }
 
 std::vector<double> TriangleCounter::PerEstimatorTriangleEstimates() {
@@ -380,54 +462,6 @@ std::vector<double> TriangleCounter::PerEstimatorWedgeEstimates() {
     values.push_back(static_cast<double>(c) * m);
   }
   return values;
-}
-
-TriangleCounter::EstimatorPartials TriangleCounter::ComputePartials(
-    std::uint64_t global_first, std::uint64_t global_count,
-    std::uint32_t median_groups) {
-  Flush();
-  EstimatorPartials out;
-  const std::size_t r = cold_.size();
-  out.count = r;
-  const auto m = static_cast<double>(applied_edges_);
-  // Degenerate groupings collapse to the mean, matching MedianOfMeans.
-  const bool grouped = median_groups > 1 && global_count > median_groups;
-  const std::uint64_t n = global_count;
-  const std::uint64_t groups = median_groups;
-  // Global group of index i is the g with g*n/G <= i < (g+1)*n/G (the
-  // contiguous nearly-equal partition of util::MedianOfMeans). Start at
-  // the group containing global_first and walk forward with the index.
-  std::uint64_t g = 0;
-  std::uint64_t g_end = 0;
-  if (grouped) {
-    g = global_first * groups / n;  // floor => g*n/G <= global_first
-    while ((g + 1) * n / groups <= global_first) ++g;
-    g_end = (g + 1) * n / groups;
-    out.first_group = static_cast<std::size_t>(g);
-  }
-  for (std::size_t i = 0; i < r; ++i) {
-    const double wedge = static_cast<double>(c_[i]) * m;
-    const double triangle = cold_[i].has_triangle ? wedge : 0.0;
-    out.triangle_sum += triangle;
-    out.wedge_sum += wedge;
-    if (grouped) {
-      const std::uint64_t global_index = global_first + i;
-      while (global_index >= g_end) {
-        ++g;
-        g_end = (g + 1) * n / groups;
-      }
-      const std::size_t local = static_cast<std::size_t>(g) - out.first_group;
-      if (local >= out.group_counts.size()) {
-        out.triangle_group_sums.resize(local + 1, 0.0);
-        out.wedge_group_sums.resize(local + 1, 0.0);
-        out.group_counts.resize(local + 1, 0);
-      }
-      out.triangle_group_sums[local] += triangle;
-      out.wedge_group_sums[local] += wedge;
-      ++out.group_counts[local];
-    }
-  }
-  return out;
 }
 
 double TriangleCounter::EstimateTriangles() {
@@ -459,7 +493,8 @@ const std::vector<EstimatorState>& TriangleCounter::estimators() {
   return snapshot_;
 }
 
-void TriangleCounter::SaveState(ckpt::ByteSink& sink) const {
+void TriangleCounter::SaveState(ckpt::ByteSink& sink) {
+  WaitForInFlight();
   sink.WriteU64(applied_edges_);
   // The counter-based RNG's entire position is the batch number -- one
   // word where the sequential generator needed its 256-bit state.
@@ -484,6 +519,7 @@ void TriangleCounter::SaveState(ckpt::ByteSink& sink) const {
 }
 
 Status TriangleCounter::RestoreState(ckpt::ByteSource& source) {
+  WaitForInFlight();
   TRISTREAM_RETURN_IF_ERROR(source.ReadU64(&applied_edges_));
   TRISTREAM_RETURN_IF_ERROR(source.ReadU64(&batch_no_));
   std::uint64_t count = 0;
@@ -533,7 +569,8 @@ Status TriangleCounter::RestoreState(ckpt::ByteSource& source) {
   return Status::Ok();
 }
 
-TriangleCounter::MemoryStats TriangleCounter::ApproxMemoryUsage() const {
+TriangleCounter::MemoryStats TriangleCounter::ApproxMemoryUsage() {
+  WaitForInFlight();
   MemoryStats stats;
   stats.per_estimator_bytes = sizeof(EstimatorState);
   stats.estimator_bytes =
@@ -543,28 +580,38 @@ TriangleCounter::MemoryStats TriangleCounter::ApproxMemoryUsage() const {
       r1_uv_.capacity() * sizeof(std::uint64_t) +
       snapshot_.capacity() * sizeof(EstimatorState);
   stats.batch_scratch_bytes =
-      pending_.capacity() * sizeof(Edge) + index_.MemoryBytes() +
-      closers_.MemoryBytes() + closer_chain_.capacity() * sizeof(CloserLink) +
+      (pending_.capacity() + absorbing_.capacity()) * sizeof(Edge) +
+      index_.MemoryBytes() + closer_chain_.capacity() * sizeof(CloserLink) +
       (replacers_.capacity() + replace_batch_idx_.capacity() +
        candidates_.capacity()) *
           sizeof(std::uint32_t) +
-      (draw2_.capacity() + bloom_.capacity() + closer_filter_.capacity()) *
-          sizeof(std::uint64_t);
+      (draw2_.capacity() + bloom_.capacity()) * sizeof(std::uint64_t);
+  for (const LaneRange& range : ranges_) {
+    stats.batch_scratch_bytes +=
+        range.closers.MemoryBytes() +
+        range.closer_filter.capacity() * sizeof(std::uint64_t);
+  }
   return stats;
 }
 
-std::size_t TriangleCounter::SteadyStateBytes(std::uint64_t r,
-                                              std::size_t w) {
+std::size_t TriangleCounter::MemoryBytes() const {
+  const std::uint64_t r = cold_.size();
+  const std::size_t w = batch_size_;
   // Per lane: the SoA estimator arrays, its Q chain link, its Step-2b draw
   // word and its slots in the replacer and candidate lists.
   const std::size_t per_lane =
       sizeof(ColdState) + sizeof(EdgeIndex) + 3 * sizeof(std::uint64_t) +
       sizeof(CloserLink) + 3 * sizeof(std::uint32_t);
+  const std::size_t buffers = pool_ != nullptr ? 2 : 1;
   std::size_t bytes =
-      r * per_lane + w * sizeof(Edge) + BatchIndex::BytesFor(w) +
-      FlatHashMap<std::uint32_t>::BytesFor(
-          std::max(kInitialClosers, CloserEntries(r))) +
-      FilterBytes(CloserLog2Bits(r));
+      r * per_lane + buffers * w * sizeof(Edge) + BatchIndex::BytesFor(w);
+  // Each range's Q holds an entry and ~8 filter bits per candidate lane.
+  for (const LaneRange& range : ranges_) {
+    const std::uint64_t lanes = range.end - range.first;
+    bytes += FlatHashMap<std::uint32_t>::BytesFor(
+                 std::max(kInitialClosers, CloserEntries(lanes))) +
+             FilterBytes(CloserLog2Bits(lanes));
+  }
   if (UseBloomFilter(w, r)) bytes += FilterBytes(BloomLog2Bits(w));
   return bytes;
 }

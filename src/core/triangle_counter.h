@@ -12,7 +12,7 @@
 //     Observation 3.6 events; the per-estimator draws (level-1
 //     resampling, the level-2 candidate draw) run as SIMD lane sweeps over
 //     counter-based RNG streams (src/core/README.md documents the pipeline
-//     and the determinism contract).
+//     and the determinism contract), on the caller or on worker threads.
 //
 // Both expose unbiased estimates of the triangle count τ (Lemma 3.2), the
 // wedge count ζ (Lemma 3.10), and the transitivity coefficient κ = 3τ/ζ
@@ -22,7 +22,9 @@
 #ifndef TRISTREAM_CORE_TRIANGLE_COUNTER_H_
 #define TRISTREAM_CORE_TRIANGLE_COUNTER_H_
 
+#include <barrier>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -33,6 +35,7 @@
 #include "util/rng.h"
 #include "util/simd.h"
 #include "util/status.h"
+#include "util/thread_pool.h"
 #include "util/types.h"
 
 namespace tristream {
@@ -74,6 +77,20 @@ struct TriangleCounterOptions {
   /// configuration error (MakeEstimator validates; direct construction
   /// CHECK-fails).
   SimdMode simd = SimdMode::kAuto;
+
+  /// Bulk engine only: worker threads that absorb batches. 0 absorbs each
+  /// batch inline on the calling thread; T >= 1 absorbs on a T-worker pool
+  /// while the caller buffers the next batch. Lanes draw from their
+  /// global RNG streams whichever worker runs them, so, like simd, this
+  /// never changes an estimate and is excluded from the checkpoint
+  /// fingerprint. Clamped to num_estimators.
+  std::uint32_t num_threads = 0;
+
+  /// Pin worker k to the k-th cpu (mod count) of the process affinity
+  /// mask (util::AffinityPinPlan). Placement only; off by default, since
+  /// pinning helps when the workers own their cores and hurts when the
+  /// machine is shared.
+  bool pin_threads = false;
 };
 
 /// Aggregates per-estimator unbiased values per the configured rule.
@@ -135,9 +152,22 @@ class NaiveTriangleCounter {
 
 /// Bulk engine (Theorem 3.5). Edges may be pushed one at a time or in
 /// blocks; internally they are absorbed in batches of options.batch_size.
+///
+/// With num_threads = T >= 1 the counter owns a T-worker pool and two
+/// batch buffers: the caller fills one while the workers absorb the other.
+/// Each batch is one pool generation. Worker 0 builds the Bloom filter and
+/// the batch index; after a barrier, worker k runs the lane sweep, Steps
+/// 1/2a/2b and the closer pass for the k-th of T contiguous lane ranges,
+/// compacting into its own slice of the lane-sized scratch arrays with its
+/// own Q table. The caller reads estimates after waiting for the pool.
+/// Estimator state is touched only by the workers while a batch is in
+/// flight and only by the caller otherwise, so none of it is locked.
 class TriangleCounter {
  public:
   explicit TriangleCounter(const TriangleCounterOptions& options);
+  /// The workers hold `this`, so a counter is neither copied nor moved.
+  TriangleCounter(const TriangleCounter&) = delete;
+  TriangleCounter& operator=(const TriangleCounter&) = delete;
 
   /// Buffers one edge, absorbing a batch when the buffer fills.
   void ProcessEdge(const Edge& e);
@@ -145,8 +175,18 @@ class TriangleCounter {
   /// Buffers a block of edges (absorbing full batches as reached).
   void ProcessEdges(std::span<const Edge> edges);
 
-  /// Absorbs any buffered edges immediately. Estimates call this
-  /// implicitly; it exists so callers can bound staleness themselves.
+  /// The zero-copy ingest hook engine adapters drive. A view of exactly
+  /// batch_size() edges that starts at a batch boundary is absorbed in
+  /// place; any other view is buffered like ProcessEdges. Either way batch
+  /// boundaries fall every w edges, so estimates do not depend on how the
+  /// stream is cut into views. With worker threads the call may return
+  /// while the workers still read the view: it must stay valid until the
+  /// next call into the counter returns.
+  void AbsorbBatchView(std::span<const Edge> view);
+
+  /// Absorbs any buffered edges and waits for the workers (a full
+  /// barrier). Estimates call this implicitly; it exists so callers can
+  /// bound staleness themselves.
   void Flush();
 
   /// Total edges pushed (buffered edges included).
@@ -154,7 +194,7 @@ class TriangleCounter {
     return applied_edges_ + pending_.size();
   }
 
-  /// Edges buffered but not yet absorbed. When zero, Flush() is a no-op
+  /// Edges buffered but not yet absorbed. When zero, Flush() only waits
   /// and estimates can be read without perturbing the RNG trajectory --
   /// the condition serve-mode snapshots check before answering a query
   /// mid-stream while preserving bit-identity with an unqueried run.
@@ -175,47 +215,21 @@ class TriangleCounter {
   /// stays valid until the next non-const member call.
   const std::vector<EstimatorState>& estimators();
 
-  /// Raw per-estimator unbiased values (flushes first). Exposed for tests
-  /// and single-shard consumers; multi-shard wrappers should prefer
-  /// ComputePartials, which reduces without materializing r doubles.
+  /// Raw per-estimator unbiased values in lane order (flushes first).
   std::vector<double> PerEstimatorTriangleEstimates();
   std::vector<double> PerEstimatorWedgeEstimates();
 
-  /// Shard-local reduction of the per-estimator unbiased values, for
-  /// multi-shard wrappers (core::ParallelTriangleCounter): each shard
-  /// folds its own estimators -- on its own worker thread -- and the
-  /// caller combines O(shards) partials instead of concatenating r
-  /// doubles. Covers both aggregation rules in one pass:
-  ///   * mean (Theorem 3.3): triangle_sum / wedge_sum over `count`;
-  ///   * median-of-means (Theorem 3.4): per-group partial sums against the
-  ///     *global* contiguous partition of util::MedianOfMeans -- group g
-  ///     covers global estimator indices [g*n/G, (g+1)*n/G) where n =
-  ///     `global_count`, G = `median_groups` -- so group boundaries are
-  ///     identical to aggregating the concatenated vector, whichever
-  ///     shards a group straddles.
-  struct EstimatorPartials {
-    std::uint64_t count = 0;      // estimators reduced (this shard's r)
-    double triangle_sum = 0.0;    // Σ per-estimator triangle values
-    double wedge_sum = 0.0;       // Σ per-estimator wedge values
-    /// First global group this shard's range overlaps; the vectors below
-    /// cover consecutive groups starting there. Empty when the caller
-    /// requested a mean-only reduction (median_groups == 0).
-    std::size_t first_group = 0;
-    std::vector<double> triangle_group_sums;
-    std::vector<double> wedge_group_sums;
-    std::vector<std::uint64_t> group_counts;
-  };
-
-  /// Reduces this shard's estimators, which occupy global indices
-  /// [global_first, global_first + r) of a `global_count`-estimator
-  /// ensemble. `median_groups` == 0 (or a degenerate grouping, G <= 1 or
-  /// global_count <= G) skips the per-group sums. Flushes first.
-  EstimatorPartials ComputePartials(std::uint64_t global_first,
-                                    std::uint64_t global_count,
-                                    std::uint32_t median_groups);
-
   /// Effective batch size w in use.
   std::size_t batch_size() const { return batch_size_; }
+
+  /// Worker threads absorbing batches (0 = inline on the caller).
+  std::uint32_t num_threads() const {
+    return pool_ != nullptr ? static_cast<std::uint32_t>(pool_->size()) : 0;
+  }
+
+  /// True when every worker was bound to its planned cpu (false when
+  /// pinning was off or unavailable, or any pin failed).
+  bool pinned() const { return all_pinned_; }
 
   /// The instruction set the lane sweeps actually run on, after resolving
   /// options.simd against the host CPU ("scalar", "avx2", "avx512").
@@ -226,14 +240,16 @@ class TriangleCounter {
   /// positions the counter-based RNG, the SoA estimator arrays, and the
   /// partially filled pending batch -- without flushing (a flush would
   /// absorb a partial batch and perturb the draw trajectory relative to an
-  /// uninterrupted run).
-  void SaveState(ckpt::ByteSink& sink) const;
+  /// uninterrupted run). Waits for an in-flight batch first. The bytes do
+  /// not depend on num_threads.
+  void SaveState(ckpt::ByteSink& sink);
 
   /// Restores a SaveState blob into this counter. The counter must be
   /// configured with the same (r, seed, batch) options as the saver -- but
-  /// not the same simd mode; snapshots are ISA-portable -- the estimator
-  /// count is re-validated here, everything else by the caller's config
-  /// fingerprint. On failure the state is unspecified.
+  /// not the same simd mode or thread count; snapshots are portable
+  /// across both -- the estimator count is re-validated here, everything
+  /// else by the caller's config fingerprint. On failure the state is
+  /// unspecified.
   Status RestoreState(ckpt::ByteSource& source);
 
   /// Memory accounting, mirroring the paper's Sec. 4.3 discussion
@@ -243,21 +259,15 @@ class TriangleCounter {
     std::size_t per_estimator_bytes = 0;  // sizeof one state
     std::size_t batch_scratch_bytes = 0;  // transient per-batch tables
   };
-  MemoryStats ApproxMemoryUsage() const;
+  /// What the counter holds now (waits for an in-flight batch first).
+  MemoryStats ApproxMemoryUsage();
 
-  /// Steady-state footprint in bytes of a counter with r estimators that
-  /// absorbs batches of w edges: the estimator arrays plus every batch
-  /// table at the size ApplyBatch gives it when the batch touches 2w
-  /// vertices and every lane is a candidate. A function of (r, w) alone,
-  /// so it holds from construction on, before any batch table exists.
-  static std::size_t SteadyStateBytes(std::uint64_t r, std::size_t w);
-
-  /// SteadyStateBytes at this counter's r and batch size (for a
-  /// self-batching counter; the parallel wrapper sizes its shards at its
-  /// own w).
-  std::size_t MemoryBytes() const {
-    return SteadyStateBytes(cold_.size(), batch_size_);
-  }
+  /// Steady-state footprint in bytes: the estimator arrays plus every
+  /// batch table at the size a batch of w edges that touches 2w vertices
+  /// gives it when every lane is a candidate, and the batch buffers. A
+  /// function of (r, w, num_threads) alone, so it holds from construction
+  /// on, before any batch table exists; flat in num_threads.
+  std::size_t MemoryBytes() const;
 
  private:
   /// Cold per-estimator fields, touched only when an estimator resamples
@@ -278,32 +288,76 @@ class TriangleCounter {
     std::uint32_t from;  // first batch position that may close the wedge
   };
 
-  void ApplyBatch(std::span<const Edge> batch);
+  /// Lanes [first, end) and the Q table their open wedges subscribe in.
+  /// One per worker (one in all when inline).
+  struct LaneRange {
+    std::uint32_t first = 0;
+    std::uint32_t end = 0;
+    FlatHashMap<std::uint32_t> closers;        // Q: edge key -> chain head
+    std::vector<std::uint64_t> closer_filter;  // Q key filter bits
+  };
+
+  /// The batch being absorbed, fixed by StartBatch on the caller and read
+  /// by the workers.
+  struct BatchJob {
+    std::span<const Edge> edges;
+    std::uint64_t m_before = 0;  // edges applied before this batch
+    std::uint64_t batch_no = 0;  // its Threefry counter word
+    bool use_filter = false;     // lane sweep probes the Bloom filter
+    int log2_bits = 6;           // Bloom filter size
+  };
+
+  /// Absorbs the filled pending buffer as one batch.
+  void SubmitPending();
+  /// Absorbs `batch`: inline to completion, or dispatched to the pool.
+  void StartBatch(std::span<const Edge> batch);
+  /// Worker `slot`'s part of the current batch.
+  void RunBatch(std::size_t slot);
+  /// The shared per-batch tables: Bloom filter and batch index.
+  void BuildBatchTables();
+  /// Lane sweep, Steps 1/2a/2b and the closer pass over one lane range.
+  void AbsorbLanes(LaneRange& range);
+  /// Blocks until no batch is in flight on the pool.
+  void WaitForInFlight();
 
   TriangleCounterOptions options_;
   std::size_t batch_size_;
   SimdIsa isa_;                             // resolved from options_.simd
   const kernels::KernelTable* kernels_;     // lane-sweep kernels for isa_
-  std::uint64_t batch_no_ = 0;  // Threefry counter word: batches absorbed
+  std::uint64_t batch_no_ = 0;  // Threefry counter word: batches started
   std::vector<ColdState> cold_;      // SoA: cold estimator fields
   std::vector<EdgeIndex> r1_pos_;    // SoA: stream position of r1 (hot)
   std::vector<std::uint64_t> c_;     // SoA: |N(r1)| so far (hot)
   std::vector<std::uint64_t> r1_uv_;  // SoA: level-1 endpoints, packed
                                       //   (u = low 32 bits, v = high 32)
   std::vector<EstimatorState> snapshot_;  // lazily built by estimators()
-  std::vector<Edge> pending_;
-  std::uint64_t applied_edges_ = 0;
+  std::vector<Edge> pending_;    // the batch being filled by the caller
+  std::vector<Edge> absorbing_;  // with workers: the batch they absorb
+  std::uint64_t applied_edges_ = 0;  // edges in batches started so far
 
-  // Reusable per-batch scratch (rebuilt per batch; see Sec. 3.3.2).
+  // Reusable per-batch scratch (rebuilt per batch; see Sec. 3.3.2). The
+  // lane-sized arrays are split by lane range: range [first, end) owns
+  // entries [first, end) of each.
+  BatchJob job_;
   BatchIndex index_;                      // Algorithm 2's events over B
-  FlatHashMap<std::uint32_t> closers_;    // Q: awaited edge key -> chain head
+  std::vector<std::uint64_t> bloom_;      // batch-vertex Bloom bits
+  std::vector<LaneRange> ranges_;
   std::vector<CloserLink> closer_chain_;  // Q chain storage (per candidate)
   std::vector<std::uint64_t> draw2_;      // per-lane Step-2b draw word
   std::vector<std::uint32_t> replacers_;  // lanes replacing r1 (ascending)
   std::vector<std::uint32_t> replace_batch_idx_;  // their chosen batch edge
   std::vector<std::uint32_t> candidates_;  // lanes passing the Bloom filter
-  std::vector<std::uint64_t> bloom_;       // batch-vertex Bloom bits
-  std::vector<std::uint64_t> closer_filter_;  // Q key filter bits
+
+  // Worker threads (num_threads >= 1 only).
+  bool in_flight_ = false;       // a batch is dispatched and not waited for
+  bool view_in_flight_ = false;  // ... and it is a caller's view
+  bool all_pinned_ = false;
+  /// Worker 0 arrives once the batch tables are built; every worker waits
+  /// for them before probing.
+  std::unique_ptr<std::barrier<>> tables_built_;
+  /// Declared last: destroyed first, draining an in-flight batch while
+  /// everything it touches is still alive.
+  std::unique_ptr<ThreadPool> pool_;
 };
 
 }  // namespace core

@@ -1,5 +1,8 @@
 #include "engine/estimators.h"
 
+#include <algorithm>
+#include <thread>
+
 namespace tristream {
 namespace engine {
 namespace {
@@ -20,24 +23,21 @@ Result<std::unique_ptr<StreamingEstimator>> MakeEstimator(
         std::string("--simd ") + SimdModeName(config.simd) +
         " requested but this CPU does not support it (use --simd auto)");
   }
-  if (algo == "tsb") {
-    return Make<ParallelEstimator>(
-        {.num_estimators = config.num_estimators,
-         .num_threads = config.num_threads,
-         .seed = config.seed,
-         .aggregation = config.aggregation,
-         .median_groups = config.median_groups,
-         .batch_size = config.batch_size,
-         .pin_threads = config.pin_threads,
-         .simd = config.simd});
-  }
-  if (algo == "bulk") {
-    return Make<BulkEstimator>({.num_estimators = config.num_estimators,
-                                .seed = config.seed,
-                                .aggregation = config.aggregation,
-                                .median_groups = config.median_groups,
-                                .batch_size = config.batch_size,
-                                .simd = config.simd});
+  if (algo == "tsb" || algo == "bulk") {
+    core::TriangleCounterOptions options{
+        .num_estimators = config.num_estimators,
+        .seed = config.seed,
+        .aggregation = config.aggregation,
+        .median_groups = config.median_groups,
+        .batch_size = config.batch_size,
+        .simd = config.simd};
+    if (algo == "bulk") return Make<BulkEstimator>(options);
+    options.num_threads = config.num_threads;
+    if (options.num_threads == 0) {
+      options.num_threads = std::max(1u, std::thread::hardware_concurrency());
+    }
+    options.pin_threads = config.pin_threads;
+    return Make<TsbEstimator>(options);
   }
   if (algo == "window") {
     return Make<SlidingWindowEstimator>(

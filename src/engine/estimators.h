@@ -6,16 +6,16 @@
 // counter from the stored options (same seed, same configuration), which
 // is exactly "back to the freshly constructed state" for every engine
 // here. The counter stays reachable through counter() for
-// algorithm-specific reads (shard counts, success rates, chain lengths,
+// algorithm-specific reads (worker counts, success rates, chain lengths,
 // estimator state inspection in tests).
 //
 // What a counter's interface states, the template detects:
-//   * AbsorbBatchView: the sharded counter takes each engine view as one
-//     batch on every shard with no staging copy. The view lifetime the
-//     interface demands (valid until the next ProcessEdges/Flush) is
-//     exactly what the shards need. Other counters absorb through
-//     ProcessEdges, or, with only per-event absorption, edge by edge as
-//     inserts.
+//   * AbsorbBatchView: the bulk counter absorbs an engine view of one
+//     whole batch in place, with no staging copy, and buffers any other.
+//     The view lifetime the interface demands (valid until the next
+//     ProcessEdges/Flush) is exactly what its workers need. Other
+//     counters absorb through ProcessEdges, or, with only per-event
+//     absorption, edge by edge as inserts.
 //   * ProcessEvents marks a turnstile counter (supports_deletions);
 //     EstimateWedges, SaveState/RestoreState, Flush, batch_size and
 //     MemoryBytes back the matching estimator reads.
@@ -26,8 +26,10 @@
 // name, the options type, the fingerprint fields, the memory rule of
 // counters without MemoryBytes, and the pull size of per-edge counters.
 //
-// The bulk counter self-batches at its own w, so engine batch boundaries
-// never change its estimates. The baselines (Buriol, colorful,
+// The bulk counter batches at its own w whatever views the engine hands
+// it, so engine batch boundaries never change its estimates. "tsb" and
+// "bulk" are that one counter under two names: MakeEstimator gives tsb
+// worker threads and bulk none. The baselines (Buriol, colorful,
 // Jowhari-Ghodsi, first-edge exhaustive) are strictly per-edge
 // algorithms: batch boundaries cannot affect their output.
 
@@ -45,7 +47,6 @@
 #include "baseline/jowhari_ghodsi.h"
 #include "ckpt/serial.h"
 #include "core/dynamic_counter.h"
-#include "core/parallel_counter.h"
 #include "core/sliding_window.h"
 #include "core/triangle_counter.h"
 #include "engine/streaming_estimator.h"
@@ -67,8 +68,8 @@ struct CounterTraits<core::TriangleCounter> {
   using Options = core::TriangleCounterOptions;
   static constexpr const char* kName = "bulk";
   /// The resolved batch size stands in for options.batch_size == 0. The
-  /// simd mode is deliberately absent: every ISA computes the same bits,
-  /// so snapshots restore across dispatch choices.
+  /// simd mode, thread count and pinning are deliberately absent: they
+  /// never change a bit, so snapshots restore across all of them.
   static void MixConfig(ckpt::ConfigFingerprint& fp, const Options& o,
                         const core::TriangleCounter& counter) {
     fp.Mix(o.num_estimators);
@@ -79,23 +80,12 @@ struct CounterTraits<core::TriangleCounter> {
   }
 };
 
-template <>
-struct CounterTraits<core::ParallelTriangleCounter> {
-  using Options = core::ParallelCounterOptions;
+/// The bulk counter under the paper's name, as MakeEstimator builds it for
+/// "tsb" (with worker threads). Only the name differs from "bulk", and
+/// with it the fingerprint: a snapshot restores under the name it was
+/// taken with.
+struct TsbTraits : CounterTraits<core::TriangleCounter> {
   static constexpr const char* kName = "tsb";
-  /// Resolved shard count and batch size are mixed (not the raw options)
-  /// so `--threads 0` cannot silently resolve differently across hosts.
-  /// Pinning and the simd mode are excluded: they never change what is
-  /// computed.
-  static void MixConfig(ckpt::ConfigFingerprint& fp, const Options& o,
-                        const core::ParallelTriangleCounter& counter) {
-    fp.Mix(o.num_estimators);
-    fp.Mix(o.seed);
-    fp.Mix(static_cast<std::uint64_t>(o.aggregation));
-    fp.Mix(o.median_groups);
-    fp.Mix(counter.num_shards());
-    fp.Mix(counter.batch_size());
-  }
 };
 
 template <>
@@ -164,10 +154,9 @@ struct CounterTraits<baseline::FirstEdgeExhaustiveCounter> {
 };
 
 /// The one adapter: see the file comment for what it detects.
-template <typename Counter>
+template <typename Counter, typename Traits = CounterTraits<Counter>>
 class CounterEstimator final : public StreamingEstimator {
  public:
-  using Traits = CounterTraits<Counter>;
   using Options = typename Traits::Options;
 
   explicit CounterEstimator(const Options& options)
@@ -281,11 +270,10 @@ class CounterEstimator final : public StreamingEstimator {
   std::unique_ptr<Counter> counter_;
 };
 
-/// Serial bulk neighborhood-sampling counter (Theorem 3.5).
+/// Bulk neighborhood-sampling counter (Theorem 3.5).
 using BulkEstimator = CounterEstimator<core::TriangleCounter>;
-/// Estimator-sharded parallel neighborhood-sampling counter ("tsb", the
-/// repo's headline engine).
-using ParallelEstimator = CounterEstimator<core::ParallelTriangleCounter>;
+/// The same counter named "tsb", the repo's headline engine.
+using TsbEstimator = CounterEstimator<core::TriangleCounter, TsbTraits>;
 /// Sequence-based sliding-window counter (Sec. 5.2). Estimates describe
 /// the most recent window_size edges, not the whole stream.
 using SlidingWindowEstimator =
@@ -312,18 +300,19 @@ using FirstEdgeStreamEstimator =
 struct EstimatorConfig {
   std::uint64_t num_estimators = 1 << 17;
   std::uint64_t seed = 1;
-  /// tsb only: worker shards (0 = hardware concurrency).
+  /// tsb only: worker threads (0 = hardware concurrency); bulk absorbs
+  /// inline. Never changes an estimate.
   std::uint32_t num_threads = 1;
   core::Aggregation aggregation = core::Aggregation::kMean;
   std::uint32_t median_groups = 12;
-  /// tsb only: shared batch size w (0 = 8r/threads).
+  /// tsb/bulk: batch size w (0 = 8r).
   std::size_t batch_size = 0;
   /// tsb/bulk: vector ISA for the lane sweeps (--simd). Bit-identical
   /// estimates under every choice; validated against the host CPU by
   /// MakeEstimator.
   SimdMode simd = SimdMode::kAuto;
   /// tsb only: pin worker k to the k-th allowed cpu (--pin); see
-  /// core::ParallelCounterOptions::pin_threads.
+  /// core::TriangleCounterOptions::pin_threads.
   bool pin_threads = false;
   /// window only.
   std::uint64_t window_size = 1 << 16;
@@ -339,10 +328,10 @@ struct EstimatorConfig {
   std::uint32_t num_colors = 8;
 };
 
-/// Builds the estimator named `algo`: "tsb" (the paper's algorithm,
-/// sharded), "bulk" (serial), "window", "dynamic" (turnstile), "buriol",
-/// "colorful", "jg", "first-edge". InvalidArgument on an unknown name or a
-/// missing required parameter.
+/// Builds the estimator named `algo`: "tsb" (the paper's algorithm on
+/// worker threads), "bulk" (the same, inline), "window", "dynamic"
+/// (turnstile), "buriol", "colorful", "jg", "first-edge". InvalidArgument
+/// on an unknown name or a missing required parameter.
 Result<std::unique_ptr<StreamingEstimator>> MakeEstimator(
     const std::string& algo, const EstimatorConfig& config);
 

@@ -13,8 +13,8 @@
 // Contract:
 //   * ProcessEdges(view) absorbs the next contiguous run of stream edges
 //     in order. Implementations MAY return before the edges are fully
-//     absorbed (the pipelined sharded counter dispatches the view to its
-//     workers and returns to the caller); the view must therefore stay
+//     absorbed (the bulk counter on worker threads dispatches a
+//     whole-batch view to its workers and returns); the view must stay
 //     valid until the next ProcessEdges or Flush call. The engine's
 //     double-buffered fetch honors exactly that lifetime.
 //   * Flush() is the barrier: after it returns, every edge passed to
@@ -141,7 +141,7 @@ class StreamingEstimator {
   virtual std::uint64_t config_fingerprint() const { return 0; }
 
   /// Serializes the complete stream state into `sink`. Implementations
-  /// quiesce themselves first (the sharded counter waits for its in-flight
+  /// quiesce themselves first (the bulk counter waits for its in-flight
   /// batch), so it is safe to call between ProcessEdges calls without an
   /// explicit Flush -- which matters, because Flush on a batch-structured
   /// counter applies a partial batch and would perturb the RNG trajectory.

@@ -86,7 +86,7 @@ class EdgeStream {
 
   /// True when every span returned by NextBatchView stays valid until the
   /// stream is destroyed (not merely until the next call). Pipelined
-  /// consumers (engine::StreamEngine driving the sharded counter) use this
+  /// consumers (engine::StreamEngine driving a threaded counter) use this
   /// to dispatch views to workers while already fetching the next batch.
   virtual bool stable_views() const { return false; }
 

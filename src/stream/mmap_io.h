@@ -16,7 +16,7 @@
 // the io stopwatch, after advising the kernel of sequential access
 // (madvise MADV_SEQUENTIAL doubles the readahead window). The spans stay
 // valid until the stream is destroyed (stable_views() == true), which is
-// what lets engine::StreamEngine hand a mapped batch to the sharded
+// what lets engine::StreamEngine hand a mapped batch to the bulk
 // counter's workers while already faulting in the next one.
 //
 // TRIS v2 (turnstile) files map just as well: the SoA layout keeps the

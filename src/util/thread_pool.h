@@ -1,17 +1,17 @@
 // Persistent worker pool with a generation barrier.
 //
-// The parallel counter broadcasts every edge batch to all estimator shards.
-// Spawning a std::thread per shard per batch pays thread-creation cost on
-// every batch and serializes ingest against absorption; this pool keeps the
-// workers alive for the life of the counter and replaces per-batch spawn
-// with a condition-variable wakeup.
+// core::TriangleCounter with num_threads >= 1 absorbs every edge batch on
+// its workers. Spawning a std::thread per worker per batch pays
+// thread-creation cost on every batch and serializes ingest against
+// absorption; this pool keeps the workers alive for the life of the
+// counter and replaces per-batch spawn with a condition-variable wakeup.
 //
 // Execution model ("per-slot tasks, generation barrier"):
 //   * The pool owns `size()` workers, identified by slot index 0..size()-1.
 //   * Dispatch(task) publishes one task for the *next generation*: every
 //     worker runs task(slot) exactly once. Dispatch returns immediately,
 //     so the caller can prepare the next batch while workers run (the
-//     double-buffered pipeline in core::ParallelTriangleCounter).
+//     counter's double-buffered pipeline).
 //   * SetTask(task) + Dispatch() is the persistent-task mode for hot
 //     dispatch loops: the task is published once and every no-argument
 //     Dispatch() re-runs it for a new generation, so the steady state
@@ -22,10 +22,12 @@
 //     Wait() first, so generations never overlap and slot k's work for
 //     generation g happens-before its work for generation g+1.
 //
-// The same slot index always maps to the same worker-owned shard state, so
-// shard-local data needs no locking: it is touched only by its slot between
-// Dispatch and Wait, and only by the caller otherwise (the barrier provides
-// the synchronization edges both ways).
+// Data a slot owns (the counter's k-th lane range and its Q table) needs
+// no locking: it is touched only by its slot between Dispatch and Wait,
+// and only by the caller otherwise (the barrier provides the
+// synchronization edges both ways). Within a generation, tasks order
+// themselves; the counter's workers meet at a std::barrier once worker 0
+// has built the tables they all read.
 //
 // Placement: ThreadPoolOptions::pin_cpus binds slot k to a fixed cpu;
 // AffinityPinPlan gives slot k the k-th cpu (mod count) of the process

@@ -13,7 +13,7 @@
 #include <vector>
 
 #include "ckpt/serial.h"
-#include "core/parallel_counter.h"
+#include "core/triangle_counter.h"
 #include "engine/estimators.h"
 #include "engine/stream_engine.h"
 #include "gen/erdos_renyi.h"
@@ -56,8 +56,8 @@ Estimates ReadEstimates(StreamingEstimator& est) {
 }
 
 /// One checkpointable configuration under test. Covers the acceptance
-/// matrix: serial neighborhood sampling at small and large r, the sharded
-/// counter pinned and unpinned, and the sliding window.
+/// matrix: inline neighborhood sampling at small and large r, the same
+/// counter on worker threads pinned and unpinned, and the sliding window.
 struct Flavor {
   const char* label;
   const char* algo;
@@ -77,7 +77,7 @@ EstimatorConfig ConfigFor(const Flavor& flavor) {
   EstimatorConfig config;
   config.num_estimators = flavor.num_estimators;
   config.seed = 20260807;
-  config.num_threads = 3;  // tsb: shards > 1
+  config.num_threads = 3;  // tsb: several lane ranges
   config.batch_size = kBatch;
   config.window_size = 900;
   config.pin_threads = flavor.pin_threads;
@@ -245,31 +245,33 @@ TEST(CheckpointBlobTest, WindowRoundTripSurvivesMidStreamCut) {
   EXPECT_EQ(ReadEstimates(*resumed), expected);
 }
 
-TEST(CheckpointBlobTest, ParallelRoundTripSurvivesPartialFillBuffer) {
-  // Cut mid-batch on the sharded counter: 1000 = 3 full 256-edge batches
-  // plus 232 edges sitting in the fill buffer at snapshot time.
+TEST(CheckpointBlobTest, ThreadedRoundTripSurvivesPartialPendingBatch) {
+  // Cut mid-batch on the threaded counter: 1000 = 3 full 256-edge batches
+  // plus 232 edges pending at snapshot time, while the third batch may
+  // still be in flight on the workers.
   const auto el = gen::GnmRandom(150, 2500, 35);
   const std::span<const Edge> edges(el.edges());
-  core::ParallelCounterOptions options;
+  core::TriangleCounterOptions options;
   options.num_estimators = 512;
   options.num_threads = 3;
   options.seed = 77;
   options.batch_size = kBatch;
 
-  core::ParallelTriangleCounter reference(options);
+  core::TriangleCounter reference(options);
   reference.ProcessEdges(edges);
   reference.Flush();
 
-  core::ParallelTriangleCounter first(options);
+  core::TriangleCounter first(options);
   first.ProcessEdges(edges.first(1000));
   ByteSink sink;
   first.SaveState(sink);
 
-  core::ParallelTriangleCounter resumed(options);
+  core::TriangleCounter resumed(options);
   ByteSource source(sink.data());
   ASSERT_TRUE(resumed.RestoreState(source).ok());
   ASSERT_TRUE(source.exhausted());
   EXPECT_EQ(resumed.edges_processed(), 1000u);
+  EXPECT_EQ(resumed.pending_edges(), 232u);
   resumed.ProcessEdges(edges.subspan(1000));
   resumed.Flush();
   EXPECT_EQ(resumed.EstimateTriangles(), reference.EstimateTriangles());
@@ -829,26 +831,43 @@ TEST(CheckpointContractTest, SkipToCheckpointRejectsBadPositions) {
   }
 }
 
-TEST(CheckpointContractTest, RestoreStateRejectsWrongShardCount) {
-  // A tsb snapshot from 3 shards must not restore into 2: per-shard RNG
-  // streams are not redistributable.
-  const auto el = gen::GnmRandom(100, 1024, 75);
-  core::ParallelCounterOptions options;
-  options.num_estimators = 512;
-  options.num_threads = 3;
-  options.seed = 7;
-  options.batch_size = kBatch;
-  core::ParallelTriangleCounter saved(options);
-  saved.ProcessEdges(std::span<const Edge>(el.edges()));
-  ByteSink sink;
-  saved.SaveState(sink);
+TEST(CheckpointContractTest, TsbSnapshotsRestoreAtAnyThreadCount) {
+  // The thread count is outside the fingerprint and the state: a tsb
+  // snapshot taken on 3 workers with a partly filled pending batch
+  // resumes on 1 or 2 workers and finishes bit-identical to the
+  // uninterrupted 3-worker run.
+  const auto el = gen::GnmRandom(100, 1500, 75);
+  const std::span<const Edge> edges(el.edges());
+  constexpr std::size_t kCut = 900;  // 3 batches + 132 pending edges
+  EstimatorConfig config;
+  config.num_estimators = 512;
+  config.seed = 7;
+  config.batch_size = kBatch;
+  auto make = [&config](std::uint32_t threads) {
+    config.num_threads = threads;
+    auto est = MakeEstimator("tsb", config);
+    EXPECT_TRUE(est.ok()) << est.status();
+    return std::move(*est);
+  };
 
-  options.num_threads = 2;
-  core::ParallelTriangleCounter other(options);
-  ByteSource source(sink.data());
-  const Status s = other.RestoreState(source);
-  ASSERT_FALSE(s.ok());
-  EXPECT_EQ(s.code(), StatusCode::kCorruptData) << s;
+  auto reference = make(3);
+  reference->ProcessEdges(edges);
+  const Estimates expected = ReadEstimates(*reference);
+
+  auto first = make(3);
+  first->ProcessEdges(edges.first(kCut));
+  ASSERT_FALSE(first->estimates_nonperturbing());  // a batch is pending
+  auto blob = EncodeCheckpoint(*first, kBatch);
+  ASSERT_TRUE(blob.ok()) << blob.status();
+  for (const std::uint32_t threads : {1u, 2u}) {
+    auto resumed = make(threads);
+    EXPECT_EQ(resumed->config_fingerprint(), first->config_fingerprint());
+    const auto info = DecodeCheckpoint(*blob, *resumed);
+    ASSERT_TRUE(info.ok()) << info.status();
+    EXPECT_EQ(resumed->edges_processed(), kCut);
+    resumed->ProcessEdges(edges.subspan(kCut));
+    EXPECT_EQ(ReadEstimates(*resumed), expected) << threads << " threads";
+  }
 }
 
 TEST(CheckpointContractTest, RestoreStateRejectsUndefinedFlagBits) {

@@ -1,7 +1,6 @@
 // Shared helpers for core-module tests: the canonical 9-edge test stream
-// with hand-computed ground truth, the estimator-state invariant checker
-// used by naive, bulk, and window engines, and a serial reference model of
-// the sharded counter.
+// with hand-computed ground truth, and the estimator-state invariant
+// checker used by naive, bulk, and window engines.
 //
 // The deterministic invariants are the strongest tests in the suite:
 // given r1, the counter c is NOT random -- it must equal the exact
@@ -13,20 +12,14 @@
 #ifndef TRISTREAM_TESTS_CORE_CORE_TEST_UTIL_H_
 #define TRISTREAM_TESTS_CORE_CORE_TEST_UTIL_H_
 
-#include <algorithm>
 #include <cstdint>
-#include <limits>
-#include <memory>
-#include <span>
 #include <vector>
 
 #include "core/neighborhood_sampler.h"
-#include "core/parallel_counter.h"
 #include "core/triangle_counter.h"
 #include "graph/edge_list.h"
 #include "graph/exact.h"
 #include "gtest/gtest.h"
-#include "util/rng.h"
 #include "util/types.h"
 
 namespace tristream {
@@ -97,83 +90,6 @@ inline void ExpectStateInvariants(const graph::EdgeList& stream,
   EXPECT_EQ(has_triangle, closer_after_r2)
       << "triangle flag wrong for r1@" << r1.pos << " r2@" << r2.pos;
 }
-
-/// ParallelTriangleCounter's computation done serially, as its contract
-/// states it: one plain TriangleCounter per shard (the shard sizes and the
-/// seeds derived from (seed, shards)), each absorbing every batch, and
-/// the estimates aggregated over the concatenated estimator values. With
-/// integer-valued estimates the sums are exact, so a correct sharded
-/// counter matches this to the last bit.
-class SerialShards {
- public:
-  explicit SerialShards(const ParallelCounterOptions& options)
-      : options_(options) {
-    const std::uint32_t shards = options.num_threads;
-    batch_size_ = options.batch_size != 0
-                      ? options.batch_size
-                      : static_cast<std::size_t>(8 * options.num_estimators /
-                                                 shards);
-    Rng seeder(options.seed ^ (0x517a9dULL * shards));
-    for (std::uint32_t t = 0; t < shards; ++t) {
-      TriangleCounterOptions shard;
-      shard.num_estimators = options.num_estimators / shards +
-                             (t < options.num_estimators % shards ? 1 : 0);
-      shard.seed = seeder.Next();
-      shard.batch_size = std::numeric_limits<std::size_t>::max();
-      shards_.push_back(std::make_unique<TriangleCounter>(shard));
-    }
-  }
-
-  /// Absorbs `edges` in batches of w (the last one partial), each on
-  /// every shard: what the sharded counter does between two estimate
-  /// reads.
-  void Absorb(std::span<const Edge> edges) {
-    for (std::size_t off = 0; off < edges.size(); off += batch_size_) {
-      const auto batch =
-          edges.subspan(off, std::min(batch_size_, edges.size() - off));
-      for (auto& shard : shards_) {
-        shard->ProcessEdges(batch);
-        shard->Flush();
-      }
-    }
-  }
-
-  double EstimateTriangles() {
-    return Aggregate(&TriangleCounter::PerEstimatorTriangleEstimates);
-  }
-  double EstimateWedges() {
-    return Aggregate(&TriangleCounter::PerEstimatorWedgeEstimates);
-  }
-  double EstimateTransitivity() {
-    const double wedges = EstimateWedges();
-    return wedges <= 0.0 ? 0.0 : 3.0 * EstimateTriangles() / wedges;
-  }
-
-  /// Bytes the shards hold now (TriangleCounter::ApproxMemoryUsage).
-  std::size_t AllocatedBytes() const {
-    std::size_t bytes = 0;
-    for (const auto& shard : shards_) {
-      const TriangleCounter::MemoryStats stats = shard->ApproxMemoryUsage();
-      bytes += stats.estimator_bytes + stats.batch_scratch_bytes;
-    }
-    return bytes;
-  }
-
- private:
-  double Aggregate(std::vector<double> (TriangleCounter::*values)()) {
-    std::vector<double> all;
-    for (auto& shard : shards_) {
-      const std::vector<double> part = ((*shard).*values)();
-      all.insert(all.end(), part.begin(), part.end());
-    }
-    return AggregateEstimates(all, options_.aggregation,
-                              options_.median_groups);
-  }
-
-  ParallelCounterOptions options_;
-  std::size_t batch_size_ = 0;
-  std::vector<std::unique_ptr<TriangleCounter>> shards_;
-};
 
 }  // namespace core
 }  // namespace tristream

@@ -1,29 +1,33 @@
 // Golden bit patterns for the bulk estimator. Every other suite compares
-// two runs of the same build (ISA against ISA, sharded against serial
-// shards, resumed against uninterrupted); this one pins the *values*, so
-// a change to TriangleCounter's batch pipeline that keeps runs
-// self-consistent but moves a single draw, candidate count or triangle
-// flag fails here. The expected values were recorded before the batch
-// index replaced the two edgeIter sweeps. Never re-record them to make a
-// pipeline change pass: a mismatch means the estimator changed.
+// two runs of the same build (ISA against ISA, threaded against inline,
+// resumed against uninterrupted); this one pins the *values*, so a change
+// to TriangleCounter's batch pipeline that keeps runs self-consistent but
+// moves a single draw, candidate count or triangle flag fails here. The
+// expected values were recorded before the batch index replaced the two
+// edgeIter sweeps, and before worker threads split the lanes into
+// ranges. Never re-record them to make a pipeline change pass: a mismatch
+// means the estimator changed.
 //
 // Covered: TriangleCounter at five (r, w) points -- w = 1, ragged batch
 // sizes, the Bloom-filtered regime (w * 8 <= r, exactly at the cutover)
-// and the filterless one -- and ParallelTriangleCounter at 1, 2 and 3
-// shards, each over a G(n, m) stream, a Holme-Kim stream with hubs, and
-// a multigraph with repeated edges and self-loops (serve hands raw socket
-// edges to the counter, so the pipeline must be deterministic on those
-// too). On a mismatch the test prints the full table row to paste.
+// and the filterless one -- each over a G(n, m) stream, a Holme-Kim
+// stream with hubs, and a multigraph with repeated edges and self-loops
+// (serve hands raw socket edges to the counter, so the pipeline must be
+// deterministic on those too). Every row must come out of the counter at
+// 0 to 3 worker threads under both the scalar and the dispatched kernels,
+// pinned, and fed through AbsorbBatchView in views of uneven sizes. On a
+// mismatch the test prints the full table row to paste.
 
+#include <algorithm>
 #include <bit>
 #include <cinttypes>
 #include <cstdint>
 #include <cstdio>
+#include <iterator>
+#include <span>
 #include <string>
 #include <vector>
 
-#include "ckpt/serial.h"
-#include "core/parallel_counter.h"
 #include "core/triangle_counter.h"
 #include "gen/erdos_renyi.h"
 #include "gen/holme_kim.h"
@@ -133,18 +137,62 @@ void PrintRow(const char* input, const std::string& config,
               input, config.c_str(), triangles, wedges, state);
 }
 
+/// One way of running a row: worker threads, kernels, placement, and
+/// whether the stream arrives through AbsorbBatchView.
+struct Leg {
+  std::uint32_t threads;
+  SimdMode simd;
+  bool pin;
+  bool views;
+};
+
+std::vector<Leg> Legs() {
+  std::vector<Leg> legs;
+  for (const std::uint32_t threads : {0u, 1u, 2u, 3u}) {
+    for (const SimdMode simd : {SimdMode::kOff, SimdMode::kAuto}) {
+      legs.push_back({threads, simd, false, false});
+    }
+  }
+  legs.push_back({3, SimdMode::kAuto, true, false});
+  legs.push_back({0, SimdMode::kAuto, false, true});
+  legs.push_back({2, SimdMode::kAuto, false, true});
+  return legs;
+}
+
+/// Feeds `edges` in views cycling through whole batches at a batch
+/// boundary (absorbed in place) and sizes that straddle boundaries
+/// (buffered), so both AbsorbBatchView paths run.
+void AbsorbInUnevenViews(TriangleCounter& counter,
+                         std::span<const Edge> edges) {
+  const std::size_t w = counter.batch_size();
+  const std::size_t sizes[] = {w, w, 3, w, 2 * w + 1, 1, w};
+  std::size_t off = 0;
+  for (std::size_t k = 0; off < edges.size(); ++k) {
+    const std::size_t n = std::min(sizes[k % std::size(sizes)],
+                                   edges.size() - off);
+    counter.AbsorbBatchView(edges.subspan(off, n));
+    off += n;
+  }
+}
+
 TEST(GoldenBitsTest, TriangleCounterMatchesRecordedBits) {
+  const std::vector<Leg> legs = Legs();
   for (const CounterGolden& g : kCounterGoldens) {
     const std::vector<Edge> edges = Input(g.input);
-    // Every ISA must land on the same bits; kOff pins the scalar kernel.
-    for (const SimdMode simd : {SimdMode::kOff, SimdMode::kAuto}) {
+    for (const Leg& leg : legs) {
       TriangleCounterOptions opt;
       opt.num_estimators = g.r;
       opt.batch_size = g.w;
       opt.seed = 0x901d + g.r;
-      opt.simd = simd;
+      opt.simd = leg.simd;
+      opt.num_threads = leg.threads;
+      opt.pin_threads = leg.pin;
       TriangleCounter counter(opt);
-      counter.ProcessEdges(edges);
+      if (leg.views) {
+        AbsorbInUnevenViews(counter, edges);
+      } else {
+        counter.ProcessEdges(edges);
+      }
       const std::uint64_t triangles = Bits(counter.EstimateTriangles());
       const std::uint64_t wedges = Bits(counter.EstimateWedges());
       WordHash hash;
@@ -163,64 +211,10 @@ TEST(GoldenBitsTest, TriangleCounterMatchesRecordedBits) {
                  triangles, wedges, hash.h);
       }
       EXPECT_TRUE(match) << g.input << " r=" << g.r << " w=" << g.w
-                         << " simd=" << SimdModeName(simd);
+                         << " threads=" << leg.threads
+                         << " simd=" << SimdModeName(leg.simd)
+                         << " pin=" << leg.pin << " views=" << leg.views;
     }
-  }
-}
-
-struct ParallelGolden {
-  const char* input;
-  std::uint32_t threads;
-  std::uint64_t triangles;
-  std::uint64_t wedges;
-  std::uint64_t state;  // WordHash of the SaveState bytes
-};
-
-constexpr ParallelGolden kParallelGoldens[] = {
-    {"gnm", 1, 0x409e460000000000ULL, 0x40e2fcf000000000ULL,
-     0xe2d63ac69a74bfb1ULL},
-    {"gnm", 2, 0x40a36f0000000000ULL, 0x40e25de000000000ULL,
-     0xd407947465f23499ULL},
-    {"gnm", 3, 0x40a8f10000000000ULL, 0x40e23ae000000000ULL,
-     0xc5d9fb672b4985b9ULL},
-    {"holme_kim", 1, 0x4091d8999999999aULL, 0x40d8d00ccccccccdULL,
-     0xb5df56e3c049f5a1ULL},
-    {"holme_kim", 2, 0x40928ccccccccccdULL, 0x40d89c6000000000ULL,
-     0x56f4d76a3e569a4aULL},
-    {"holme_kim", 3, 0x408d113333333333ULL, 0x40d6a4e000000000ULL,
-     0xf624dd7ad43c8b5fULL},
-    {"multigraph", 1, 0x40e8762000000000ULL, 0x410355a000000000ULL,
-     0x0997faa4a315e930ULL},
-    {"multigraph", 2, 0x40e41cc000000000ULL, 0x410349b800000000ULL,
-     0xc1fac5c1fb053470ULL},
-    {"multigraph", 3, 0x40e976a000000000ULL, 0x4104cd9000000000ULL,
-     0xc37b3f931030dfcbULL},
-};
-
-TEST(GoldenBitsTest, ParallelCounterMatchesRecordedBits) {
-  for (const ParallelGolden& g : kParallelGoldens) {
-    const std::vector<Edge> edges = Input(g.input);
-    ParallelCounterOptions opt;
-    opt.num_estimators = 600;
-    opt.num_threads = g.threads;
-    opt.seed = 0x9a5eed;
-    opt.batch_size = 97;
-    ParallelTriangleCounter counter(opt);
-    counter.ProcessEdges(edges);
-    const std::uint64_t triangles = Bits(counter.EstimateTriangles());
-    const std::uint64_t wedges = Bits(counter.EstimateWedges());
-    ckpt::ByteSink sink;
-    counter.SaveState(sink);
-    WordHash hash;
-    for (const char byte : sink.data()) {
-      hash.Add(static_cast<unsigned char>(byte));
-    }
-    const bool match =
-        triangles == g.triangles && wedges == g.wedges && hash.h == g.state;
-    if (!match) {
-      PrintRow(g.input, std::to_string(g.threads), triangles, wedges, hash.h);
-    }
-    EXPECT_TRUE(match) << g.input << " threads=" << g.threads;
   }
 }
 

@@ -165,6 +165,21 @@ TEST(KernelEquivalenceTest, LaneSweepMatchesScalarCounterRng) {
           << SimdIsaName(isa) << " lane " << lane;
     }
   }
+  // A lane range draws the streams of its global lane ids, which is what
+  // lets worker threads sweep disjoint ranges of one estimator array.
+  args.lane_base = 1000;
+  for (const SimdIsa isa : SupportedIsas()) {
+    const SweepOutput out = RunSweep(isa, args);
+    ASSERT_EQ(out.counts.replacers, lanes) << SimdIsaName(isa);
+    for (std::uint64_t lane = 0; lane < lanes; ++lane) {
+      const CounterRng::Block block = CounterRng::Draw(99, 1000 + lane, 0);
+      EXPECT_EQ(out.replacers[lane], lane) << SimdIsaName(isa);
+      EXPECT_EQ(out.batch_idx[lane], MulHi64(block.x0, 64))
+          << SimdIsaName(isa) << " lane " << lane;
+      EXPECT_EQ(out.draw2[lane], block.x1)
+          << SimdIsaName(isa) << " lane " << lane;
+    }
+  }
 }
 
 // ----------------------------------------------------- counter bit-identity

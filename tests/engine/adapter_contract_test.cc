@@ -10,22 +10,25 @@
 //
 // Covered: all eight algorithms at two configurations (one thread with
 // the default batch, three threads with batch 777), each fed a Holme-Kim
-// stream whose length is not a multiple of 777, so the serial bulk
-// counter is mid-batch when the row is read. A further row pins
-// ParallelTriangleCounter's estimates read mid-stream, at a point that
-// is not a batch multiple, and after the stream continues. On a
-// mismatch the test prints the row to paste.
+// stream whose length is not a multiple of 777, so the bulk counter is
+// mid-batch when the row is read. tsb is the bulk counter on worker
+// threads under another name: its rows differ from bulk's only in the
+// name and the fingerprint. A further row pins the counter's estimates
+// read mid-stream on two workers, at a point that is not a batch
+// multiple, and after the stream continues. On a mismatch the test
+// prints the row to paste.
 
 #include <bit>
 #include <cinttypes>
 #include <cstdint>
 #include <cstdio>
+#include <map>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "ckpt/serial.h"
-#include "core/parallel_counter.h"
+#include "core/triangle_counter.h"
 #include "engine/estimators.h"
 #include "gen/erdos_renyi.h"
 #include "gen/holme_kim.h"
@@ -109,15 +112,15 @@ struct ContractGolden {
 
 constexpr ContractGolden kContractGoldens[] = {
     {"tsb", 1, 0,
-     "tsb del=0 wedge=1 batch=24000 ckpt=1 fp=e6eb47d4de4b0fe5"
-     " nonperturbing=1 edges=1564 save=OK:714e15be3c189dc4"
-     " tri=40a47eb2dbd19423 wedges=40e0accec33e1f67"
-     " kappa=3fcd7f74efb4171a reset_edges=0"},
+     "tsb del=0 wedge=1 batch=24000 ckpt=1 fp=52b9d2c53fdc044c"
+     " nonperturbing=0 edges=1564 save=OK:ac37d5bcf9e44bac"
+     " tri=40a3269e60f04c75 wedges=40e11f6f92c5f92c"
+     " kappa=3fcad7b521a7b265 reset_edges=0"},
     {"tsb", 3, 777,
-     "tsb del=0 wedge=1 batch=777 ckpt=1 fp=2b8c11d35f600b16"
-     " nonperturbing=1 edges=1564 save=OK:c4ee3df14b2940e0"
-     " tri=40a4e5ec33e1f671 wedges=40e0ea853f7ced91"
-     " kappa=3fcda64b542b802f reset_edges=0"},
+     "tsb del=0 wedge=1 batch=777 ckpt=1 fp=e4d9fa8fc544e0c3"
+     " nonperturbing=0 edges=1564 save=OK:52ded82a730332ec"
+     " tri=40a6fff04c756b2e wedges=40e09b3671529a48"
+     " kappa=3fd09eba01fa5157 reset_edges=0"},
     {"bulk", 1, 0,
      "bulk del=0 wedge=1 batch=24000 ckpt=1 fp=481c1a6cf6a1253d"
      " nonperturbing=0 edges=1564 save=OK:ac37d5bcf9e44bac"
@@ -194,7 +197,7 @@ TEST(AdapterContractTest, EveryAlgorithmMatchesRecordedContract) {
   const graph::EdgeList el = gen::HolmeKim(kVertices, 8, 0.9, 31);
   const std::span<const Edge> edges(el.edges());
   ASSERT_NE(edges.size() % 777, 0u);  // the bulk counter ends mid-batch
-  int rows = 0;
+  std::map<std::string, std::string> rows;
   for (const ContractGolden& g : kContractGoldens) {
     const std::string row = ContractRow(g.algo, Config(g.threads, g.batch),
                                         edges);
@@ -204,43 +207,59 @@ TEST(AdapterContractTest, EveryAlgorithmMatchesRecordedContract) {
     }
     EXPECT_EQ(row, g.row) << g.algo << " threads=" << g.threads
                           << " batch=" << g.batch;
-    ++rows;
+    rows[std::string(g.algo) + "/" + std::to_string(g.batch)] = row;
   }
-  EXPECT_EQ(rows, 16);
+  EXPECT_EQ(rows.size(), 16u);
+  // tsb and bulk are one counter: past the name and the fingerprint, the
+  // rows agree at every configuration.
+  const auto tail = [](const std::string& row) {
+    return row.substr(row.find(" nonperturbing="));
+  };
+  for (const char* batch : {"0", "777"}) {
+    EXPECT_EQ(tail(rows[std::string("tsb/") + batch]),
+              tail(rows[std::string("bulk/") + batch]))
+        << "batch " << batch;
+  }
 }
 
-TEST(AdapterContractTest, ShardedEstimatesReadMidStreamMatchRecordedBits) {
-  // Reading an estimate mid-stream flushes the partial fill buffer as a
-  // batch of its own; the counter must then continue from there.
+TEST(AdapterContractTest, ThreadedEstimatesReadMidStreamMatchRecordedBits) {
+  // Reading an estimate mid-stream flushes the partial batch as a batch of
+  // its own; the counter must then continue from there, on two workers
+  // exactly as inline.
   const auto stream =
       stream::ShuffleStreamOrder(gen::GnmRandom(40, 300, 3), 17);
-  core::ParallelCounterOptions opt;
-  opt.num_estimators = 6000;
-  opt.num_threads = 2;
-  opt.seed = 7;
-  opt.batch_size = 128;
-  core::ParallelTriangleCounter counter(opt);
   const std::span<const Edge> edges(stream.edges());
   const std::size_t half = edges.size() / 2;
-  ASSERT_NE(half % opt.batch_size, 0u);
-  counter.ProcessEdges(edges.subspan(0, half));
-  std::string row = "mid tri=" + Bits(counter.EstimateTriangles()) +
-                    " wedges=" + Bits(counter.EstimateWedges());
-  counter.ProcessEdges(edges.subspan(half));
-  row += " end tri=" + Bits(counter.EstimateTriangles()) +
-         " wedges=" + Bits(counter.EstimateWedges()) +
-         " kappa=" + Bits(counter.EstimateTransitivity()) +
-         " edges=" + std::to_string(counter.edges_processed());
-  ckpt::ByteSink sink;
-  counter.SaveState(sink);
-  row += " state=" + Hex(HashBytes(sink.data()));
+  std::string rows[2];
+  for (const std::uint32_t threads : {0u, 2u}) {
+    core::TriangleCounterOptions opt;
+    opt.num_estimators = 6000;
+    opt.num_threads = threads;
+    opt.seed = 7;
+    opt.batch_size = 128;
+    core::TriangleCounter counter(opt);
+    ASSERT_NE(half % opt.batch_size, 0u);
+    counter.ProcessEdges(edges.subspan(0, half));
+    std::string row = "mid tri=" + Bits(counter.EstimateTriangles()) +
+                      " wedges=" + Bits(counter.EstimateWedges());
+    counter.ProcessEdges(edges.subspan(half));
+    row += " end tri=" + Bits(counter.EstimateTriangles()) +
+           " wedges=" + Bits(counter.EstimateWedges()) +
+           " kappa=" + Bits(counter.EstimateTransitivity()) +
+           " edges=" + std::to_string(counter.edges_processed());
+    ckpt::ByteSink sink;
+    counter.SaveState(sink);
+    row += " state=" + Hex(HashBytes(sink.data()));
+    rows[threads == 0 ? 0 : 1] = row;
+  }
   const std::string expected =
-      "mid tri=404d433333333333 wedges=40911e6666666666"
-      " end tri=40816d999999999a wedges=40b164599999999a"
-      " kappa=3fd80cc3b5f4556e edges=300"
-      " state=6206131e8cb18c00";
-  if (row != expected) std::printf("    \"%s\"\n", row.c_str());
-  EXPECT_EQ(row, expected);
+      "mid tri=404b4ccccccccccd wedges=4091216666666666"
+      " end tri=408192cccccccccd wedges=40b11b2666666666"
+      " kappa=3fd8a7ded19aa961 edges=300"
+      " state=b3024c71920ca83f";
+  if (rows[1] != expected) std::printf("    \"%s\"\n", rows[1].c_str());
+  EXPECT_EQ(rows[1], expected);
+  EXPECT_EQ(rows[1], rows[0]);
 }
 
 }  // namespace

@@ -29,7 +29,6 @@
 #include "stream/binary_io.h"
 #include "stream/edge_stream.h"
 #include "stream/socket_stream.h"
-#include "tests/core/core_test_util.h"
 
 namespace tristream {
 namespace engine {
@@ -361,7 +360,7 @@ TEST(ServeTest, FreshSessionChargeCoversSteadyStateFootprint) {
     const char* algo;
     std::uint64_t r;
     std::uint32_t threads;
-    std::size_t batch;  // 0 = the counter's default w = 8r/threads
+    std::size_t batch;  // 0 = the counter's default w = 8r
   };
   for (const Case& c : {Case{"bulk", 1 << 17, 1, 8192},
                         Case{"bulk", 1 << 12, 1, 0},
@@ -377,20 +376,20 @@ TEST(ServeTest, FreshSessionChargeCoversSteadyStateFootprint) {
     const std::size_t w = (*made)->preferred_batch_size();
     const auto full_batches = edges.first(edges.size() / w * w);
     ASSERT_GE(full_batches.size(), 3 * w);
+    // bulk and tsb adapt the one counter; tsb's also holds the batch its
+    // workers absorb while the next one fills.
+    const auto absorb = [&full_batches](auto* estimator) {
+      estimator->ProcessEdges(full_batches);
+      const auto stats = estimator->counter().ApproxMemoryUsage();
+      return stats.estimator_bytes + stats.batch_scratch_bytes;
+    };
     std::size_t allocated = 0;
     if (auto* bulk = dynamic_cast<BulkEstimator*>(made->get())) {
-      bulk->ProcessEdges(full_batches);
-      const auto stats = bulk->counter().ApproxMemoryUsage();
-      allocated = stats.estimator_bytes + stats.batch_scratch_bytes;
+      allocated = absorb(bulk);
     } else {
-      // The sharded counter's shards, fed the same batches, plus its two
-      // fill buffers.
-      core::ParallelCounterOptions popt;
-      popt.num_estimators = c.r;
-      popt.num_threads = c.threads;
-      core::SerialShards shards(popt);
-      shards.Absorb(full_batches);
-      allocated = shards.AllocatedBytes() + 2 * w * sizeof(Edge);
+      auto* tsb = dynamic_cast<TsbEstimator*>(made->get());
+      ASSERT_NE(tsb, nullptr) << c.algo;
+      allocated = absorb(tsb);
     }
     EXPECT_GE(fresh, allocated) << c.algo << " r=" << c.r
                                 << " threads=" << c.threads;

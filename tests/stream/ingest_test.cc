@@ -2,14 +2,14 @@
 // corruption handling, io accounting), the OpenEdgeSource sniffing front
 // end, the DedupEdgeStream wrapper, and the parity contract -- every
 // ingest path must deliver identical edges and bit-identical seeded
-// ParallelTriangleCounter estimates.
+// TriangleCounter estimates, at any thread count.
 
 #include <cstdio>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "core/parallel_counter.h"
+#include "core/triangle_counter.h"
 #include "engine/estimators.h"
 #include "engine/stream_engine.h"
 #include "gen/erdos_renyi.h"
@@ -20,7 +20,6 @@
 #include "stream/edge_stream.h"
 #include "stream/mmap_io.h"
 #include "stream/text_io.h"
-#include "tests/core/core_test_util.h"
 
 namespace tristream {
 namespace stream {
@@ -386,20 +385,20 @@ TEST(IngestParityTest, BitIdenticalEstimatesAcrossIngestPaths) {
   ASSERT_TRUE(WriteBinaryEdges(path, el).ok());
 
   for (const std::uint32_t threads : {1u, 3u}) {
-    core::ParallelCounterOptions options;
+    core::TriangleCounterOptions options;
     options.num_estimators = 8192;
     options.num_threads = threads;
     options.seed = 20260726;
     options.batch_size = 700;  // several batches plus a partial tail
 
     auto run_memory = [&] {
-      core::ParallelTriangleCounter counter(options);
+      core::TriangleCounter counter(options);
       counter.ProcessEdges(el.edges());
       return std::pair(counter.EstimateTriangles(),
                        counter.EstimateWedges());
     };
     auto run_stream = [&](std::unique_ptr<EdgeStream> source) {
-      engine::ParallelEstimator estimator(options);
+      engine::TsbEstimator estimator(options);
       engine::StreamEngine eng;
       EXPECT_TRUE(eng.Run(estimator, *source).ok());
       return std::pair(estimator.EstimateTriangles(),
@@ -424,7 +423,7 @@ TEST(IngestParityTest, MedianOfMeansAlsoBitIdenticalAcrossPaths) {
   const auto el = gen::GnmRandom(150, 1800, 23);
   const std::string path = TempPath("parity_mom.tris");
   ASSERT_TRUE(WriteBinaryEdges(path, el).ok());
-  core::ParallelCounterOptions options;
+  core::TriangleCounterOptions options;
   options.num_estimators = 6000;
   options.num_threads = 4;
   options.seed = 777;
@@ -442,7 +441,7 @@ TEST(IngestParityTest, MedianOfMeansAlsoBitIdenticalAcrossPaths) {
       EXPECT_TRUE(opened.ok());
       source = std::move(*opened);
     }
-    engine::ParallelEstimator estimator(options);
+    engine::TsbEstimator estimator(options);
     engine::StreamEngine eng;
     EXPECT_TRUE(eng.Run(estimator, *source).ok());
     return std::pair(estimator.EstimateTriangles(),
@@ -452,28 +451,28 @@ TEST(IngestParityTest, MedianOfMeansAlsoBitIdenticalAcrossPaths) {
   std::remove(path.c_str());
 }
 
-TEST(IngestParityTest, ShardedMatchesSerialShardsUnderBothAggregations) {
-  // The shard-local aggregation combine must fold the shards' partials
-  // into exactly the statistic of their concatenated estimator values,
-  // for the mean and the median-of-means rule alike.
+TEST(IngestParityTest, ThreadedMatchesInlineUnderBothAggregations) {
+  // The caller aggregates all r lanes in lane order whichever workers ran
+  // them, so the mean and the median-of-means rule alike come out
+  // bit-identical to the inline counter's.
   const auto el = gen::GnmRandom(120, 1500, 24);
   for (const auto aggregation :
        {core::Aggregation::kMean, core::Aggregation::kMedianOfMeans}) {
+    core::TriangleCounterOptions options;
+    options.num_estimators = 5000;
+    options.seed = 99;
+    options.aggregation = aggregation;
+    core::TriangleCounter inline_counter(options);
+    inline_counter.ProcessEdges(el.edges());
     for (const std::uint32_t threads : {1u, 3u}) {
-      core::ParallelCounterOptions popt;
-      popt.num_estimators = 5000;
-      popt.num_threads = threads;
-      popt.seed = 99;
-      popt.aggregation = aggregation;
-      core::ParallelTriangleCounter parallel(popt);
-      parallel.ProcessEdges(el.edges());
-      core::SerialShards serial(popt);
-      serial.Absorb(el.edges());
-
-      EXPECT_EQ(parallel.EstimateTriangles(), serial.EstimateTriangles());
-      EXPECT_EQ(parallel.EstimateWedges(), serial.EstimateWedges());
-      EXPECT_EQ(parallel.EstimateTransitivity(),
-                serial.EstimateTransitivity());
+      options.num_threads = threads;
+      core::TriangleCounter threaded(options);
+      threaded.ProcessEdges(el.edges());
+      EXPECT_EQ(threaded.EstimateTriangles(),
+                inline_counter.EstimateTriangles());
+      EXPECT_EQ(threaded.EstimateWedges(), inline_counter.EstimateWedges());
+      EXPECT_EQ(threaded.EstimateTransitivity(),
+                inline_counter.EstimateTransitivity());
     }
   }
 }
@@ -490,11 +489,11 @@ TEST(IngestFailureTest, FileTruncatedAfterHeaderFailsEngineRun) {
 
   auto opened = BinaryFileEdgeStream::Open(path);
   ASSERT_TRUE(opened.ok());  // the header itself is intact
-  core::ParallelCounterOptions options;
+  core::TriangleCounterOptions options;
   options.num_estimators = 256;
   options.num_threads = 2;
   options.seed = 5;
-  engine::ParallelEstimator estimator(options);
+  engine::TsbEstimator estimator(options);
   engine::StreamEngine eng;
   const Status streamed = eng.Run(estimator, **opened);
   ASSERT_FALSE(streamed.ok());
@@ -511,12 +510,12 @@ TEST(IngestFailureTest, MidPayloadTruncationFailsEngineRunWithPrefix) {
 
   auto opened = BinaryFileEdgeStream::Open(path);
   ASSERT_TRUE(opened.ok());
-  core::ParallelCounterOptions options;
+  core::TriangleCounterOptions options;
   options.num_estimators = 256;
   options.num_threads = 2;
   options.seed = 5;
   options.batch_size = 64;
-  engine::ParallelEstimator estimator(options);
+  engine::TsbEstimator estimator(options);
   engine::StreamEngine eng;
   const Status streamed = eng.Run(estimator, **opened);
   ASSERT_FALSE(streamed.ok());
@@ -611,7 +610,7 @@ TEST(DedupEdgeStreamTest, DedupedEngineRunBitIdenticalAcrossInners) {
   const std::string path = TempPath("dedup_counter_parity.tris");
   ASSERT_TRUE(WriteBinaryEdges(path, dirty).ok());
 
-  core::ParallelCounterOptions options;
+  core::TriangleCounterOptions options;
   options.num_estimators = 2048;
   options.num_threads = 2;
   options.seed = 616;
@@ -619,7 +618,7 @@ TEST(DedupEdgeStreamTest, DedupedEngineRunBitIdenticalAcrossInners) {
 
   const auto run = [&options, &clean](std::unique_ptr<EdgeStream> inner) {
     DedupEdgeStream source(std::move(inner));
-    engine::ParallelEstimator estimator(options);
+    engine::TsbEstimator estimator(options);
     engine::StreamEngine eng;
     EXPECT_TRUE(eng.Run(estimator, source).ok());
     EXPECT_EQ(estimator.edges_processed(), clean.size());  // filter worked
@@ -649,13 +648,13 @@ TEST(IngestParityTest, EngineRunAfterBufferedEdgesKeepsOrder) {
                   path, graph::EdgeList(std::vector<Edge>(
                             edges.begin() + head, edges.end())))
                   .ok());
-  core::ParallelCounterOptions options;
+  core::TriangleCounterOptions options;
   options.num_estimators = 4096;
   options.num_threads = 2;
   options.seed = 4242;
   options.batch_size = 256;
 
-  engine::ParallelEstimator mixed(options);
+  engine::TsbEstimator mixed(options);
   mixed.counter().ProcessEdges(edges.subspan(0, head));
   auto mapped = MmapEdgeStream::Open(path);
   ASSERT_TRUE(mapped.ok());

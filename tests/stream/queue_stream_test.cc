@@ -11,7 +11,7 @@
 #include <thread>
 #include <vector>
 
-#include "core/parallel_counter.h"
+#include "core/triangle_counter.h"
 #include "core/sliding_window.h"
 #include "engine/estimators.h"
 #include "engine/stream_engine.h"
@@ -198,18 +198,18 @@ TEST(QueueEdgeStreamTest, EngineRunBitIdenticalToMemoryStream) {
   // memory, for a fixed (seed, threads).
   const auto el = gen::GnmRandom(200, 3000, 31);
   for (const std::uint32_t threads : {1u, 3u}) {
-    core::ParallelCounterOptions options;
+    core::TriangleCounterOptions options;
     options.num_estimators = 4096;
     options.num_threads = threads;
     options.seed = 20260726;
     options.batch_size = 256;
 
-    engine::ParallelEstimator from_memory(options);
+    engine::TsbEstimator from_memory(options);
     MemoryEdgeStream memory(el);
     engine::StreamEngine memory_engine;
     ASSERT_TRUE(memory_engine.Run(from_memory, memory).ok());
 
-    engine::ParallelEstimator from_queue(options);
+    engine::TsbEstimator from_queue(options);
     QueueEdgeStream queue(512);
     std::thread producer([&queue, &el] {
       // Push in ragged runs to decouple producer chunking from the
@@ -238,12 +238,12 @@ TEST(QueueEdgeStreamTest, EngineRunBitIdenticalToMemoryStream) {
 
 TEST(QueueEdgeStreamTest, ProducerFailureSurfacesThroughEngineRun) {
   const auto el = gen::GnmRandom(120, 2000, 32);
-  core::ParallelCounterOptions options;
+  core::TriangleCounterOptions options;
   options.num_estimators = 1024;
   options.num_threads = 2;
   options.seed = 7;
   options.batch_size = 128;
-  engine::ParallelEstimator estimator(options);
+  engine::TsbEstimator estimator(options);
 
   QueueEdgeStream queue(256);
   std::thread producer([&queue, &el] {

@@ -16,7 +16,7 @@
 #include <thread>
 #include <vector>
 
-#include "core/parallel_counter.h"
+#include "core/triangle_counter.h"
 #include "engine/estimators.h"
 #include "engine/stream_engine.h"
 #include "gen/erdos_renyi.h"
@@ -225,13 +225,13 @@ TEST(SocketEdgeStreamTest, WriteFrameToDeadPeerIsIoErrorNotSigpipe) {
 
 TEST(SocketEdgeStreamTest, LoopbackEngineRunBitIdenticalToMemory) {
   const auto el = gen::GnmRandom(250, 4000, 41);
-  core::ParallelCounterOptions options;
+  core::TriangleCounterOptions options;
   options.num_estimators = 4096;
   options.num_threads = 2;
   options.seed = 20260726;
   options.batch_size = 300;
 
-  engine::ParallelEstimator from_memory(options);
+  engine::TsbEstimator from_memory(options);
   MemoryEdgeStream memory(el);
   engine::StreamEngine memory_engine;
   ASSERT_TRUE(memory_engine.Run(from_memory, memory).ok());
@@ -260,7 +260,7 @@ TEST(SocketEdgeStreamTest, LoopbackEngineRunBitIdenticalToMemory) {
   auto source = SocketEdgeStream::FromFd(*accepted);
   ASSERT_TRUE(source.ok());
 
-  engine::ParallelEstimator from_socket(options);
+  engine::TsbEstimator from_socket(options);
   engine::StreamEngine socket_engine;
   const Status streamed = socket_engine.Run(from_socket, **source);
   producer.join();
@@ -365,12 +365,12 @@ TEST(SocketEdgeStreamTest, ProducerDeathMidFrameFailsEngineRun) {
 
   auto source = SocketEdgeStream::FromFd(pair.fds[1]);
   ASSERT_TRUE(source.ok());
-  core::ParallelCounterOptions options;
+  core::TriangleCounterOptions options;
   options.num_estimators = 512;
   options.num_threads = 2;
   options.seed = 3;
   options.batch_size = 100;
-  engine::ParallelEstimator estimator(options);
+  engine::TsbEstimator estimator(options);
   engine::StreamEngine eng;
   const Status streamed = eng.Run(estimator, **source);
   ASSERT_FALSE(streamed.ok());  // never a silent prefix estimate

@@ -25,8 +25,9 @@
 // the paper's algorithm (tsb) or one of the baseline algorithms it is
 // evaluated against -- all driven by the same engine::StreamEngine, so
 // every algorithm sees identical ingest, batching, and failure
-// propagation. `--pin 1` binds tsb's worker k to the k-th cpu the process
-// may run on; placement never changes an estimate.
+// propagation. tsb is the bulk estimator on `--threads` worker threads;
+// `--pin 1` binds worker k to the k-th cpu the process may run on.
+// Neither the thread count nor placement ever changes an estimate.
 //
 // `serve` is the multi-tenant network mode (engine/serve.h): one process
 // accepts any number of TRIS connections, each mapped to its own
@@ -109,6 +110,11 @@ int Usage() {
       "           [--groups G --sample-prob P (dynamic)]\n"
       "           A: tsb (default) bulk dynamic buriol colorful jg\n"
       "              first-edge\n"
+      "           tsb and bulk are one estimator: tsb absorbs batches on\n"
+      "           --threads T workers (default 1, 0 = one per cpu) while\n"
+      "           the input is read, bulk absorbs inline. --threads never\n"
+      "           changes an estimate; --batch W defaults to 8r at every\n"
+      "           T.\n"
       "           dynamic is the turnstile estimator: the only algo that\n"
       "           accepts TRIS v2 inputs with delete events; every other\n"
       "           algo fails them with a diagnostic.\n"
@@ -116,8 +122,8 @@ int Usage() {
       "           (default 10000000; previous generation kept at\n"
       "           PATH.prev); --resume restores one, seeks the input\n"
       "           forward, and continues to estimates bit-identical to an\n"
-      "           uninterrupted run with the same flags. tsb, bulk and\n"
-      "           dynamic only.\n"
+      "           uninterrupted run with the same flags (--threads, --pin\n"
+      "           and --simd may differ). tsb, bulk and dynamic only.\n"
       "           --pin 1 binds tsb worker k to the k-th cpu the process\n"
       "           may run on. Placement never changes estimates, only\n"
       "           where the work runs.\n"
@@ -465,7 +471,7 @@ int CmdInspect(const std::map<std::string, std::string>& flags) {
   if (got >= 4 && std::memcmp(header, stream::kTrisMagic, 4) == 0) {
     if (got < sizeof(header)) {
       std::fclose(f);
-      std::fprintf(stderr, "'%s': truncated TRIS header (%zu of %d bytes)\n",
+      std::fprintf(stderr, "'%s': truncated TRIS header (%zu of %zu bytes)\n",
                    path.c_str(), got, stream::kTrisHeaderBytes);
       return 1;
     }
@@ -707,11 +713,10 @@ int CmdCount(const std::map<std::string, std::string>& flags) {
                 SimdIsaName(*ResolveSimdIsa(config.simd)));
   }
   std::string substrate;
-  if (auto* tsb =
-          dynamic_cast<engine::ParallelEstimator*>(estimator->get())) {
+  if (auto* tsb = dynamic_cast<engine::TsbEstimator*>(estimator->get())) {
     char buf[64];
-    std::snprintf(buf, sizeof(buf), ", %u shard(s)%s",
-                  tsb->counter().num_shards(),
+    std::snprintf(buf, sizeof(buf), ", %u thread(s)%s",
+                  tsb->counter().num_threads(),
                   tsb->counter().pinned() ? ", pinned" : "");
     substrate = buf;
   }
@@ -822,8 +827,11 @@ int CmdLive(const std::map<std::string, std::string>& flags) {
   std::fprintf(stderr,
                "listening on 127.0.0.1:%u for TRIS frames "
                "(window=%llu, estimators=%llu)\n",
-               *started, FlagU64(flags, "window", 1 << 16),
-               FlagU64(flags, "estimators", 4096));
+               *started,
+               static_cast<unsigned long long>(
+                   FlagU64(flags, "window", 1 << 16)),
+               static_cast<unsigned long long>(
+                   FlagU64(flags, "estimators", 4096)));
   std::printf("%12s  %16s  %14s\n", "edge#", "window triangles",
               "transitivity");
   server.Wait();
