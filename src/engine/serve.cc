@@ -811,24 +811,20 @@ void Server::ParseIngest(Conn& conn) {
       continue;
     }
     if (avail < stream::kTrisHeaderBytes) break;
-    std::uint32_t version = 0;
-    std::memcpy(&version, data + 4, sizeof(version));
     std::uint64_t count = 0;
     std::memcpy(&count, data + 8, sizeof(count));
     if (std::memcmp(data, stream::kTrisMagic, 4) == 0) {
-      if (version != stream::kTrisVersion &&
-          version != stream::kTrisVersion2) {
-        FailConn(conn, Status::CorruptData(
-                           "serve connection sent unsupported frame "
-                           "version " +
-                           std::to_string(version)));
+      auto header =
+          stream::ParseTrisHeader(data, "serve connection sent TRIS frame");
+      if (!header.ok()) {
+        FailConn(conn, header.status());
         break;
       }
       conn.inbuf_off += stream::kTrisHeaderBytes;
       conn.saw_frame = true;
       EnsureSessionScheduled(conn);
-      conn.frame_version = version;
-      conn.frame_edges_remaining = count;  // count == 0 is a keep-alive
+      conn.frame_version = header->version;
+      conn.frame_edges_remaining = header->count;  // 0 is a keep-alive
       continue;
     }
     if (std::memcmp(data, kServeQueryMagic, 4) == 0) {

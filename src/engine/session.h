@@ -11,11 +11,11 @@
 // case.
 //
 // Determinism is the load-bearing invariant: for a fixed batch size,
-// Step()-until-done issues exactly the same NextBatchView call sequence
-// (same sizes, same order, same double-buffer discipline) as the old
-// monolithic Run loop, so estimates are bit-identical regardless of how
-// the quanta interleave with other sessions. The parity suite
-// (tests/engine) locks this.
+// Step()-until-done issues exactly the same sequence of event pulls
+// (NextEventBatchView: same sizes, same order, same double-buffer
+// discipline) as the old monolithic Run loop, so estimates are
+// bit-identical regardless of how the quanta interleave with other
+// sessions. The parity suite (tests/engine) locks this.
 //
 // Threading: Step() must be called by one thread at a time (the scheduler
 // guarantees exclusive claim), but *which* thread may change between
@@ -68,7 +68,7 @@ struct SessionMetrics {
 /// Configuration of one session's drive loop, not of any estimator.
 /// (Historically StreamEngineOptions; aliased in stream_engine.h.)
 struct SessionOptions {
-  /// Fetch size w per NextBatchView call. 0 defers to the estimator's
+  /// Fetch size w per pull. 0 defers to the estimator's
   /// preferred_batch_size(), then to kDefaultBatchSize.
   std::size_t batch_size = 0;
 

@@ -18,9 +18,9 @@
 // below), same metrics, same call sequence into the source and estimator.
 //
 // Determinism: with a fixed batch_size (explicit or the estimator's
-// preference) the session issues exactly the same NextBatchView calls as
-// the drivers it replaced, so estimates are bit-identical to pre-engine
-// output for a fixed seed -- the parity suite (tests/engine) locks this.
+// preference) the session pulls exactly the same batches as the drivers
+// it replaced, so estimates are bit-identical to pre-engine output for a
+// fixed seed -- the parity suite (tests/engine) locks this.
 
 #ifndef TRISTREAM_ENGINE_STREAM_ENGINE_H_
 #define TRISTREAM_ENGINE_STREAM_ENGINE_H_

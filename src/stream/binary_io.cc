@@ -6,6 +6,8 @@
 #include <span>
 #include <vector>
 
+#include "util/logging.h"
+
 namespace tristream {
 namespace stream {
 namespace {
@@ -102,24 +104,15 @@ Status WriteBinaryEvents(const std::string& path,
 }
 
 Result<graph::EdgeList> ReadBinaryEdges(const std::string& path) {
-  auto opened = BinaryFileEdgeStream::Open(path);
-  if (!opened.ok()) return opened.status();
-  BinaryFileEdgeStream& stream = **opened;
-  graph::EdgeList out;
-  std::vector<Edge> batch;
-  while (stream.NextBatch(1 << 16, &batch) > 0) {
-    for (const Edge& e : batch) out.Add(e);
+  auto events = ReadBinaryEvents(path);
+  if (!events.ok()) return events.status();
+  if (events->has_deletes()) {
+    return Status::InvalidArgument(
+        "edge file '" + path + "' is a turnstile (TRIS v2) stream with "
+        "delete events; this consumer reads edges only -- use the event "
+        "API or an estimator that supports deletions");
   }
-  // A read failure and a truncated file both end the batch loop early;
-  // distinguish them so disk faults are not reported as file corruption.
-  if (!stream.status().ok()) return stream.status();
-  if (out.size() != stream.total_edges()) {
-    return Status::CorruptData("edge file '" + path +
-                               "' truncated: header promises " +
-                               std::to_string(stream.total_edges()) +
-                               " edges, got " + std::to_string(out.size()));
-  }
-  return out;
+  return graph::EdgeList(std::move(events->edges));
 }
 
 Result<EdgeEventList> ReadBinaryEvents(const std::string& path) {
@@ -135,6 +128,8 @@ Result<EdgeEventList> ReadBinaryEvents(const std::string& path) {
       out.Add(view.edges[i], view.op(i));
     }
   }
+  // A read failure and a truncated file both end the batch loop early;
+  // distinguish them so disk faults are not reported as file corruption.
   if (!stream.status().ok()) return stream.status();
   if (out.size() != stream.total_edges()) {
     return Status::CorruptData("edge file '" + path +
@@ -145,16 +140,28 @@ Result<EdgeEventList> ReadBinaryEvents(const std::string& path) {
   return out;
 }
 
+Result<TrisHeader> ParseTrisHeader(const char* bytes,
+                                   std::string_view context) {
+  TrisHeader header;
+  std::memcpy(&header.version, bytes + 4, sizeof(header.version));
+  std::memcpy(&header.count, bytes + 8, sizeof(header.count));
+  if (std::memcmp(bytes, kTrisMagic, 4) != 0) {
+    return Status::CorruptData(std::string(context) + ": bad magic");
+  }
+  if (header.version != kTrisVersion && header.version != kTrisVersion2) {
+    return Status::CorruptData(std::string(context) +
+                               ": unsupported version " +
+                               std::to_string(header.version));
+  }
+  return header;
+}
+
 Result<std::unique_ptr<BinaryFileEdgeStream>> BinaryFileEdgeStream::Open(
     const std::string& path) {
   std::FILE* f = std::fopen(path.c_str(), "rb");
   if (f == nullptr) return Status::IoError(ErrnoMessage("cannot open", path));
-  char magic[4];
-  std::uint32_t version = 0;
-  std::uint64_t count = 0;
-  if (std::fread(magic, 1, 4, f) != 4 ||
-      std::fread(&version, sizeof(version), 1, f) != 1 ||
-      std::fread(&count, sizeof(count), 1, f) != 1) {
+  char bytes[kTrisHeaderBytes];
+  if (std::fread(bytes, 1, sizeof(bytes), f) != sizeof(bytes)) {
     // ferror distinguishes an unreadable file (a directory, a failing
     // device) from a well-formed-but-short one.
     const bool read_error = std::ferror(f) != 0;
@@ -164,18 +171,13 @@ Result<std::unique_ptr<BinaryFileEdgeStream>> BinaryFileEdgeStream::Open(
     }
     return Status::CorruptData("edge file '" + path + "': header too short");
   }
-  if (std::memcmp(magic, kTrisMagic, 4) != 0) {
+  auto header = ParseTrisHeader(bytes, "edge file '" + path + "'");
+  if (!header.ok()) {
     std::fclose(f);
-    return Status::CorruptData("edge file '" + path + "': bad magic");
-  }
-  if (version != kTrisVersion && version != kTrisVersion2) {
-    std::fclose(f);
-    return Status::CorruptData("edge file '" + path +
-                               "': unsupported version " +
-                               std::to_string(version));
+    return header.status();
   }
   return std::unique_ptr<BinaryFileEdgeStream>(
-      new BinaryFileEdgeStream(f, version, count, path));
+      new BinaryFileEdgeStream(f, header->version, header->count, path));
 }
 
 BinaryFileEdgeStream::BinaryFileEdgeStream(std::FILE* file,
@@ -198,7 +200,7 @@ std::size_t BinaryFileEdgeStream::ReadRecords(std::size_t want,
                                               std::vector<Edge>* edges,
                                               std::vector<EdgeOp>* ops) {
   edges->clear();
-  if (ops != nullptr) ops->clear();
+  ops->clear();
   const std::uint64_t remaining = total_edges_ - delivered_;
   const std::size_t take =
       static_cast<std::size_t>(std::min<std::uint64_t>(want, remaining));
@@ -232,7 +234,7 @@ std::size_t BinaryFileEdgeStream::ReadRecords(std::size_t want,
     }
   }
   std::size_t count = got / 2;
-  if (version_ == kTrisVersion2 && ops != nullptr && count > 0) {
+  if (version_ == kTrisVersion2 && count > 0) {
     ops->resize(count);
     io_timer_.Resume();
     std::fseek(file_,
@@ -276,42 +278,13 @@ std::size_t BinaryFileEdgeStream::ReadRecords(std::size_t want,
   return count;
 }
 
-std::size_t BinaryFileEdgeStream::NextBatch(std::size_t max_edges,
-                                            std::vector<Edge>* batch) {
-  if (version_ == kTrisVersion) {
-    return ReadRecords(max_edges, batch, nullptr);
-  }
-  // Edge-only read of a turnstile file: legal while every event is an
-  // insert, a loud sticky failure at the first actual delete -- never a
-  // silently misread op.
-  std::vector<EdgeOp> ops;
-  const std::size_t got = ReadRecords(max_edges, batch, &ops);
-  for (std::size_t i = 0; i < got; ++i) {
-    if (ops[i] == EdgeOp::kDelete) {
-      if (status_.ok()) {
-        status_ = Status::InvalidArgument(
-            "edge file '" + path_ + "' is a turnstile (TRIS v2) stream with "
-            "delete events; this consumer reads edges only -- use the "
-            "event API or an estimator that supports deletions");
-      }
-      batch->clear();
-      return 0;
-    }
-  }
-  return got;
-}
-
 EventBatchView BinaryFileEdgeStream::NextEventBatchView(
     std::size_t max_edges, EventScratch* scratch) {
-  const std::size_t got =
-      ReadRecords(max_edges, &scratch->edges,
-                  version_ == kTrisVersion2 ? &scratch->ops : nullptr);
-  if (got == 0) return {};
-  std::span<const EdgeOp> ops;
-  if (version_ == kTrisVersion2) {
-    ops = std::span<const EdgeOp>(scratch->ops);
-  }
-  return EventBatchView{std::span<const Edge>(scratch->edges), ops};
+  TRISTREAM_DCHECK(scratch != nullptr);
+  ReadRecords(max_edges, &scratch->edges, &scratch->ops);
+  // v1 leaves the ops empty: the all-inserts fast path.
+  return EventBatchView{std::span<const Edge>(scratch->edges),
+                        std::span<const EdgeOp>(scratch->ops)};
 }
 
 void BinaryFileEdgeStream::Reset() {
@@ -319,6 +292,7 @@ void BinaryFileEdgeStream::Reset() {
   std::fseek(file_, static_cast<long>(kTrisHeaderBytes), SEEK_SET);
   delivered_ = 0;
   status_ = Status::Ok();
+  ClearEdgeOnlyFailure();
   io_timer_.Restart();
   io_timer_.Pause();
 }

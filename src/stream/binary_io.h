@@ -22,8 +22,8 @@
 //   Readers treat a payload shorter than its section math -- including a
 //   tail that ends mid-pair or inside the op section -- as CorruptData,
 //   and a read(2)-level failure as IoError. Edge-only reads of a v2 file
-//   fail with a sticky InvalidArgument at the first actual delete event
-//   (see stream/README.md for the full contract).
+//   stop with a sticky InvalidArgument at the first actual delete event
+//   (EdgeStream's one rule; see stream/README.md).
 //
 // Readers of this format:
 //   * BinaryFileEdgeStream (here): buffered FILE reads, batch = one copy.
@@ -43,6 +43,7 @@
 #include <cstdio>
 #include <memory>
 #include <string>
+#include <string_view>
 
 #include "graph/edge_list.h"
 #include "stream/edge_stream.h"
@@ -66,6 +67,18 @@ inline constexpr std::size_t kTrisHeaderBytes = 16;
 /// frames).
 inline constexpr std::size_t kTrisEventBytes = 9;
 
+/// A decoded TRIS header (a file's, or one socket frame's).
+struct TrisHeader {
+  std::uint32_t version = 0;  // kTrisVersion or kTrisVersion2
+  std::uint64_t count = 0;    // edges (v1) or events (v2)
+};
+
+/// Decodes the kTrisHeaderBytes bytes at `bytes`. CorruptData naming the
+/// bad field ("<context>: bad magic", "<context>: unsupported version N")
+/// when the magic is not "TRIS" or the version is neither 1 nor 2.
+Result<TrisHeader> ParseTrisHeader(const char* bytes,
+                                   std::string_view context);
+
 /// Validates a batch of raw op bytes (anything above kDelete is wire
 /// corruption). Returns the offending byte via `*bad` when non-null.
 bool ValidateOpBytes(const std::uint8_t* ops, std::size_t count,
@@ -84,8 +97,8 @@ Status WriteBinaryEdges(const std::string& path, const graph::EdgeList& edges);
 /// breaks v1-only readers; anything with a delete becomes v2.
 Status WriteBinaryEvents(const std::string& path, const EdgeEventList& events);
 
-/// Reads an entire binary edge file into memory. InvalidArgument when the
-/// file is v2 and contains actual delete events (use ReadBinaryEvents).
+/// Reads an entire binary edge file into memory: ReadBinaryEvents, then
+/// InvalidArgument when the file holds an actual delete event.
 Result<graph::EdgeList> ReadBinaryEdges(const std::string& path);
 
 /// Reads an entire binary edge/event file (v1 or v2) into memory; v1
@@ -103,11 +116,9 @@ class BinaryFileEdgeStream : public EdgeStream {
   BinaryFileEdgeStream(const BinaryFileEdgeStream&) = delete;
   BinaryFileEdgeStream& operator=(const BinaryFileEdgeStream&) = delete;
 
-  std::size_t NextBatch(std::size_t max_edges,
-                        std::vector<Edge>* batch) override;
   /// v2 files deliver real ops (read from the trailing op section with a
   /// second positioned read per batch); v1 files keep the empty-ops fast
-  /// path. `scratch` must be non-null (views point into it).
+  /// path. Views point into `*scratch`, which must be non-null.
   EventBatchView NextEventBatchView(std::size_t max_edges,
                                     EventScratch* scratch) override;
   bool turnstile() const override { return version_ == kTrisVersion2; }
@@ -117,9 +128,9 @@ class BinaryFileEdgeStream : public EdgeStream {
 
   /// Sticky: IoError when a read failed mid-stream, CorruptData when the
   /// payload ended before the header's edge count (a short batch then
-  /// means a damaged prefix, not end of file), InvalidArgument when an
-  /// edge-only NextBatch hit a delete event. Cleared by Reset().
-  Status status() const override { return status_; }
+  /// means a damaged prefix, not end of file) or an op byte is neither
+  /// insert nor delete. Cleared by Reset().
+  Status status() const override { return MergeEdgeOnlyFailure(status_); }
 
   /// Total edges/events in the file.
   std::uint64_t total_edges() const { return total_edges_; }
@@ -133,8 +144,7 @@ class BinaryFileEdgeStream : public EdgeStream {
 
   /// Positioned read of `want` pairs at the stream cursor into `edges`
   /// (resized to the delivered count) and, for v2, the matching op bytes
-  /// into `ops`. Shared by both pull surfaces; sets the sticky status on
-  /// truncation/IoError/bad op byte.
+  /// into `ops`. Sets the sticky status on truncation/IoError/bad op byte.
   std::size_t ReadRecords(std::size_t want, std::vector<Edge>* edges,
                           std::vector<EdgeOp>* ops);
 

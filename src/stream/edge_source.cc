@@ -15,77 +15,23 @@ namespace tristream {
 namespace stream {
 namespace {
 
-/// Memory stream that owns its events (MemoryEdgeStream only borrows).
-/// Backs the text path of OpenEdgeSource: the whole file is parsed up
-/// front, so batches are stable zero-copy views and io_seconds reports the
-/// one-time load cost. Turnstile-capable: event pulls serve real ops;
-/// edge-only pulls fail with a sticky InvalidArgument at the first delete.
-class OwningMemoryEdgeStream : public EdgeStream {
+/// The text path's source: a MemoryEdgeStream over the parsed events it
+/// owns, reporting the one-time parse as io_seconds(). The events live in
+/// a base initialized before the MemoryEdgeStream that borrows them.
+struct ParsedEvents {
+  EdgeEventList events;
+};
+class ParsedTextStream : private ParsedEvents, public MemoryEdgeStream {
  public:
-  OwningMemoryEdgeStream(EdgeEventList events, double load_seconds)
-      : events_(std::move(events)), load_seconds_(load_seconds) {}
+  ParsedTextStream(EdgeEventList parsed, double load_seconds)
+      : ParsedEvents{std::move(parsed)},
+        MemoryEdgeStream(events),
+        load_seconds_(load_seconds) {}
 
-  std::size_t NextBatch(std::size_t max_edges,
-                        std::vector<Edge>* batch) override {
-    batch->clear();
-    const std::span<const Edge> view = NextBatchView(max_edges, nullptr);
-    batch->assign(view.begin(), view.end());
-    return view.size();
-  }
-  std::span<const Edge> NextBatchView(std::size_t max_edges,
-                                      std::vector<Edge>* /*scratch*/) override {
-    const std::size_t take = Take(max_edges);
-    if (take == 0) return {};
-    if (!events_.ops.empty()) {
-      for (std::size_t i = 0; i < take; ++i) {
-        if (events_.ops[cursor_ + i] == EdgeOp::kDelete) {
-          if (status_.ok()) {
-            status_ = Status::InvalidArgument(
-                "turnstile stream with delete events; this consumer reads "
-                "edges only -- use the event API or an estimator that "
-                "supports deletions");
-          }
-          return {};
-        }
-      }
-    }
-    const std::span<const Edge> view(events_.edges.data() + cursor_, take);
-    cursor_ += take;
-    return view;
-  }
-  EventBatchView NextEventBatchView(std::size_t max_edges,
-                                    EventScratch* /*scratch*/) override {
-    const std::size_t take = Take(max_edges);
-    if (take == 0) return {};
-    std::span<const EdgeOp> ops;
-    if (!events_.ops.empty()) {
-      ops = std::span<const EdgeOp>(events_.ops.data() + cursor_, take);
-    }
-    EventBatchView view{
-        std::span<const Edge>(events_.edges.data() + cursor_, take), ops};
-    cursor_ += take;
-    return view;
-  }
-  bool turnstile() const override { return events_.has_deletes(); }
-  bool stable_views() const override { return true; }
-  void Reset() override {
-    cursor_ = 0;
-    status_ = Status::Ok();
-  }
-  std::uint64_t edges_delivered() const override { return cursor_; }
   double io_seconds() const override { return load_seconds_; }
-  Status status() const override { return status_; }
 
  private:
-  std::size_t Take(std::size_t max_edges) const {
-    const std::size_t remaining = events_.size() - cursor_;
-    return std::min(max_edges, remaining);
-  }
-
-  EdgeEventList events_;
   double load_seconds_;
-  std::size_t cursor_ = 0;
-  Status status_;
 };
 
 /// Reads the first 4 bytes of `path`. Returns false (with `*error` set)
@@ -116,32 +62,6 @@ DedupEdgeStream::DedupEdgeStream(std::unique_ptr<EdgeStream> inner,
       filter_(expected_edges),
       expected_edges_(expected_edges) {}
 
-bool DedupEdgeStream::FilterOneBatch(std::size_t max_edges,
-                                     std::vector<Edge>* out) {
-  // `out` is empty on entry (both pop paths loop until an edge survives).
-  if (inner_->stable_views()) {
-    // Stable inner (mmap, in-memory): the raw batch is a zero-copy view,
-    // so compacting admitted edges into `out` is the only copy.
-    const std::span<const Edge> raw =
-        inner_->NextBatchView(max_edges, &scratch_);
-    if (raw.empty()) return false;
-    for (const Edge& e : raw) {
-      if (filter_.Admit(e)) out->push_back(e);
-    }
-    return true;
-  }
-  // Non-stable inner (FILE reads, sockets, queues): read straight into
-  // `out` and compact in place -- one copy, where routing through a
-  // staging scratch would pay two.
-  if (inner_->NextBatch(max_edges, out) == 0) return false;
-  std::size_t kept = 0;
-  for (const Edge& e : *out) {
-    if (filter_.Admit(e)) (*out)[kept++] = e;
-  }
-  out->resize(kept);
-  return true;
-}
-
 bool DedupEdgeStream::FilterOneEventBatch(std::size_t max_edges,
                                           EventScratch* out) {
   // `out` is empty on entry (the pop path loops until an event survives).
@@ -159,40 +79,18 @@ bool DedupEdgeStream::FilterOneEventBatch(std::size_t max_edges,
   return true;
 }
 
-std::size_t DedupEdgeStream::NextBatch(std::size_t max_edges,
-                                       std::vector<Edge>* batch) {
-  batch->clear();
-  // Keep pulling until at least one edge survives the filter (or the
-  // inner stream ends) so that a run of duplicates cannot masquerade as
-  // end of stream.
-  while (batch->empty()) {
-    if (!FilterOneBatch(max_edges, batch)) break;
-  }
-  delivered_ += batch->size();
-  return batch->size();
-}
-
-std::span<const Edge> DedupEdgeStream::NextBatchView(
-    std::size_t max_edges, std::vector<Edge>* /*scratch*/) {
+EventBatchView DedupEdgeStream::NextEventBatchView(std::size_t max_edges,
+                                                   EventScratch* /*scratch*/) {
   // Alternate between two output buffers so the previous view survives
   // this call (the pipelined consumer dispatches view N to its workers
   // while fetching view N+1).
-  view_slot_ ^= 1;
-  std::vector<Edge>& out = view_bufs_[view_slot_];
-  out.clear();
-  while (out.empty()) {
-    if (!FilterOneBatch(max_edges, &out)) break;
-  }
-  delivered_ += out.size();
-  return std::span<const Edge>(out);
-}
-
-EventBatchView DedupEdgeStream::NextEventBatchView(std::size_t max_edges,
-                                                   EventScratch* /*scratch*/) {
   event_slot_ ^= 1;
   EventScratch& out = event_bufs_[event_slot_];
   out.edges.clear();
   out.ops.clear();
+  // Keep pulling until at least one event survives the filter (or the
+  // inner stream ends) so that a run of duplicates cannot masquerade as
+  // end of stream.
   while (out.edges.empty()) {
     if (!FilterOneEventBatch(max_edges, &out)) break;
   }
@@ -205,11 +103,11 @@ void DedupEdgeStream::Reset() {
   inner_->Reset();
   filter_ = DedupFilter(expected_edges_);
   delivered_ = 0;
-  for (std::vector<Edge>& buf : view_bufs_) buf.clear();
   for (EventScratch& buf : event_bufs_) {
     buf.edges.clear();
     buf.ops.clear();
   }
+  ClearEdgeOnlyFailure();
 }
 
 Result<std::unique_ptr<EdgeStream>> OpenEdgeSource(
@@ -251,8 +149,8 @@ Result<std::unique_ptr<EdgeStream>> OpenEdgeSource(
     built.reader = EdgeSourceInfo::Reader::kText;
     built.total_edges = parsed->size();
     built.turnstile = parsed->has_deletes();
-    source = std::make_unique<OwningMemoryEdgeStream>(std::move(*parsed),
-                                                      load_timer.Seconds());
+    source = std::make_unique<ParsedTextStream>(std::move(*parsed),
+                                                load_timer.Seconds());
   }
   if (options.dedup) {
     // Size the filter for the source's real edge count: the default hint

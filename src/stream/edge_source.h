@@ -74,7 +74,7 @@ struct EdgeSourceInfo {
 /// Filtering adapter: pulls from `inner` and delivers only events admitted
 /// by a DedupFilter (turnstile live-set semantics: inserts pass iff not
 /// live, deletes pass iff live). Batches may come back shorter than
-/// requested (the filter is applied per inner batch); a 0/empty return
+/// requested (the filter is applied per inner batch); an empty return
 /// still means end of stream. Views are never stable (filtered events must
 /// be compacted).
 class DedupEdgeStream : public EdgeStream {
@@ -82,54 +82,37 @@ class DedupEdgeStream : public EdgeStream {
   explicit DedupEdgeStream(std::unique_ptr<EdgeStream> inner,
                            std::size_t expected_edges = 1 << 12);
 
-  std::size_t NextBatch(std::size_t max_edges,
-                        std::vector<Edge>* batch) override;
-  /// Filters into internal storage instead of the default copy-through
-  /// shim: stable inner views are compacted straight into one buffer
-  /// (one copy total) and non-stable inner batches are compacted *in
-  /// place* after the inner read, dropping the shim's extra per-batch
-  /// copy. `scratch` is ignored. The returned view stays valid across one
-  /// subsequent NextBatchView call (alternating internal buffers) --
-  /// exactly the lifetime the pipelined consumer needs to fetch batch N+1
-  /// while batch N is being absorbed. Batch boundaries are identical to
-  /// NextBatch's.
-  std::span<const Edge> NextBatchView(std::size_t max_edges,
-                                      std::vector<Edge>* scratch) override;
-  /// Event-model pull with the same double-buffered lifetime. `scratch`
-  /// is ignored.
+  /// Compacts admitted events into internal storage; `scratch` is
+  /// ignored. The returned view stays valid across one subsequent pull
+  /// (alternating internal buffers) -- exactly the lifetime the pipelined
+  /// consumer needs to fetch batch N+1 while batch N is being absorbed.
   EventBatchView NextEventBatchView(std::size_t max_edges,
                                     EventScratch* scratch) override;
   bool turnstile() const override { return inner_->turnstile(); }
   void Reset() override;
   std::uint64_t edges_delivered() const override { return delivered_; }
   double io_seconds() const override { return inner_->io_seconds(); }
-  Status status() const override { return inner_->status(); }
+  Status status() const override {
+    return MergeEdgeOnlyFailure(inner_->status());
+  }
 
   /// The wrapped filter (offered/admitted counts, memory).
   const DedupFilter& filter() const { return filter_; }
 
  private:
-  /// Pulls one inner batch into `*out` with only admitted edges kept;
-  /// returns false at inner end of stream. Shared by both edge-only pop
-  /// paths.
-  bool FilterOneBatch(std::size_t max_edges, std::vector<Edge>* out);
-
-  /// Event counterpart: pulls one inner event batch and compacts admitted
-  /// events into `*out` (ops materialized only when the inner batch has
-  /// them).
+  /// Pulls one inner event batch and compacts admitted events into `*out`
+  /// (ops materialized only when the inner batch has them); returns false
+  /// at inner end of stream.
   bool FilterOneEventBatch(std::size_t max_edges, EventScratch* out);
 
   std::unique_ptr<EdgeStream> inner_;
   DedupFilter filter_;
   std::size_t expected_edges_;
   std::uint64_t delivered_ = 0;
-  std::vector<Edge> scratch_;
+  /// Staging for a non-stable inner stream's pulls.
   EventScratch event_scratch_;
-  /// Double-buffered output of NextBatchView (see its comment).
-  std::array<std::vector<Edge>, 2> view_bufs_;
-  /// Double-buffered output of NextEventBatchView.
+  /// Double-buffered output (see NextEventBatchView).
   std::array<EventScratch, 2> event_bufs_;
-  int view_slot_ = 0;
   int event_slot_ = 0;
 };
 

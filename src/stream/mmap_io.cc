@@ -7,7 +7,6 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <cstring>
 #include <type_traits>
 
 #include "stream/binary_io.h"
@@ -57,10 +56,13 @@ Result<std::unique_ptr<MmapEdgeStream>> MmapEdgeStream::Open(
     return Status::IoError(ErrnoMessage("cannot mmap", path));
   }
   const char* bytes = static_cast<const char*>(map);
-  std::uint32_t version = 0;
-  std::uint64_t count = 0;
-  std::memcpy(&version, bytes + 4, sizeof(version));
-  std::memcpy(&count, bytes + 8, sizeof(count));
+  auto header = ParseTrisHeader(bytes, "edge file '" + path + "'");
+  if (!header.ok()) {
+    ::munmap(map, file_bytes);
+    return header.status();
+  }
+  const std::uint32_t version = header->version;
+  const std::uint64_t count = header->count;
   // Per-event payload bytes: v1 is the pair alone, v2 adds the op byte in
   // the trailing section. Dividing the payload size (instead of
   // multiplying `count`) keeps the truncation check overflow-safe for
@@ -68,22 +70,13 @@ Result<std::unique_ptr<MmapEdgeStream>> MmapEdgeStream::Open(
   // section alike.
   const std::size_t event_bytes =
       version == kTrisVersion2 ? kTrisEventBytes : sizeof(Edge);
-  Status status = Status::Ok();
-  if (std::memcmp(bytes, kTrisMagic, 4) != 0) {
-    status = Status::CorruptData("edge file '" + path + "': bad magic");
-  } else if (version != kTrisVersion && version != kTrisVersion2) {
-    status = Status::CorruptData("edge file '" + path +
-                                 "': unsupported version " +
-                                 std::to_string(version));
-  } else if ((file_bytes - kTrisHeaderBytes) / event_bytes < count) {
-    status = Status::CorruptData(
+  const std::size_t holds = (file_bytes - kTrisHeaderBytes) / event_bytes;
+  if (holds < count) {
+    ::munmap(map, file_bytes);
+    return Status::CorruptData(
         "edge file '" + path + "' truncated: header promises " +
         std::to_string(count) + " events, payload holds " +
-        std::to_string((file_bytes - kTrisHeaderBytes) / event_bytes));
-  }
-  if (!status.ok()) {
-    ::munmap(map, file_bytes);
-    return status;
+        std::to_string(holds));
   }
   ::madvise(map, file_bytes, MADV_SEQUENTIAL);
   const Edge* payload =
@@ -150,44 +143,6 @@ void MmapEdgeStream::Prefault(std::uint64_t end_edge) {
   prefaulted_op_bytes_ = end_op_byte;
 }
 
-std::span<const Edge> MmapEdgeStream::NextBatchView(
-    std::size_t max_edges, std::vector<Edge>* /*scratch*/) {
-  const std::uint64_t remaining = total_edges_ - cursor_;
-  const std::size_t take =
-      static_cast<std::size_t>(std::min<std::uint64_t>(max_edges, remaining));
-  if (take == 0) return {};
-  Prefault(cursor_ + take);
-  if (ops_ != nullptr) {
-    // Edge-only read of a turnstile file: legal while every event is an
-    // insert, a loud sticky failure at the first actual delete.
-    const std::uint8_t* ops =
-        reinterpret_cast<const std::uint8_t*>(ops_ + cursor_);
-    std::uint8_t bad = 0;
-    if (!ValidateOpBytes(ops, take, &bad)) {
-      if (status_.ok()) {
-        status_ = Status::CorruptData(
-            "edge file: op byte " + std::to_string(bad) +
-            " is neither insert nor delete");
-      }
-      return {};
-    }
-    for (std::size_t i = 0; i < take; ++i) {
-      if (ops_[cursor_ + i] == EdgeOp::kDelete) {
-        if (status_.ok()) {
-          status_ = Status::InvalidArgument(
-              "turnstile (TRIS v2) stream with delete events; this consumer "
-              "reads edges only -- use the event API or an estimator that "
-              "supports deletions");
-        }
-        return {};
-      }
-    }
-  }
-  std::span<const Edge> view(payload_ + cursor_, take);
-  cursor_ += take;
-  return view;
-}
-
 EventBatchView MmapEdgeStream::NextEventBatchView(std::size_t max_edges,
                                                   EventScratch* /*scratch*/) {
   const std::uint64_t remaining = total_edges_ - cursor_;
@@ -214,19 +169,12 @@ EventBatchView MmapEdgeStream::NextEventBatchView(std::size_t max_edges,
   return view;
 }
 
-std::size_t MmapEdgeStream::NextBatch(std::size_t max_edges,
-                                      std::vector<Edge>* batch) {
-  batch->clear();
-  const std::span<const Edge> view = NextBatchView(max_edges, nullptr);
-  batch->assign(view.begin(), view.end());
-  return view.size();
-}
-
 void MmapEdgeStream::Reset() {
   cursor_ = 0;
   prefaulted_bytes_ = 0;
   prefaulted_op_bytes_ = 0;
   status_ = Status::Ok();
+  ClearEdgeOnlyFailure();
   io_timer_.Restart();
   io_timer_.Pause();
 }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "util/logging.h"
 #include "util/timer.h"
 
 namespace tristream {
@@ -105,26 +106,20 @@ bool QueueEdgeStream::turnstile() const {
   return delete_pushed_;
 }
 
-std::size_t QueueEdgeStream::PopEvents(std::size_t max_edges,
-                                       std::vector<Edge>* edges,
-                                       std::vector<EdgeOp>* ops) {
-  edges->clear();
-  if (ops != nullptr) ops->clear();
-  if (max_edges == 0) return 0;
+EventBatchView QueueEdgeStream::NextEventBatchView(std::size_t max_edges,
+                                                   EventScratch* scratch) {
+  TRISTREAM_DCHECK(scratch != nullptr);
+  scratch->edges.clear();
+  scratch->ops.clear();
+  if (max_edges == 0) return {};
   std::unique_lock<std::mutex> lock(mu_);
-  // A consumer that already failed (edge-only read hit a delete) must not
-  // block again waiting for a batch it can never accept. This is distinct
-  // from a Close(error) status, which still drains buffered events.
-  if (ops == nullptr && edge_read_failed_) return 0;
   // Block until a *full* batch is available (or the queue closes, after
-  // which the remainder drains) -- the same chunking-independence the
-  // socket source gets by filling batches across frames: batch boundaries
-  // are decided by the consumer's request size, never by producer timing,
-  // so estimates are bit-identical to file/memory ingest of the same
-  // events. A slow feed therefore reads as slow I/O (the wait lands on the
-  // I/O stopwatch), not as a ragged batch. Capped at capacity so a
-  // request larger than the buffer cannot deadlock against blocked
-  // producers.
+  // which the remainder drains): batch boundaries are decided by the
+  // consumer's request size, never by producer timing, so estimates are
+  // bit-identical to file/memory ingest of the same events. A slow feed
+  // therefore reads as slow I/O (the wait lands on the I/O stopwatch), not
+  // as a ragged batch. Capped at capacity so a request larger than the
+  // buffer cannot deadlock against blocked producers.
   const std::size_t goal = std::min(max_edges, capacity_);
   if (buffer_.size() < goal && !closed_) {
     WallTimer wait_timer;
@@ -132,36 +127,17 @@ std::size_t QueueEdgeStream::PopEvents(std::size_t max_edges,
                   [this, goal] { return buffer_.size() >= goal || closed_; });
     wait_seconds_ += wait_timer.Seconds();
   }
-  std::size_t take = std::min(max_edges, buffer_.size());
-  if (ops == nullptr) {
-    // Edge-only consumer: deliver the insert prefix, then fail loudly.
-    // The delete stays buffered -- never silently dropped.
-    for (std::size_t i = 0; i < take; ++i) {
-      if (buffer_[i].is_delete()) {
-        edge_read_failed_ = true;
-        if (status_.ok()) {
-          status_ = Status::InvalidArgument(
-              "edge queue carries delete events; this consumer reads edges "
-              "only -- use the event API or an estimator that supports "
-              "deletions");
-        }
-        take = i;
-        break;
-      }
-    }
-  }
+  const std::size_t take = std::min(max_edges, buffer_.size());
   const bool was_full = buffer_.size() >= capacity_;
   bool any_delete = false;
   for (std::size_t i = 0; i < take; ++i) {
-    edges->push_back(buffer_[i].edge);
-    if (ops != nullptr) {
-      ops->push_back(buffer_[i].op);
-      any_delete = any_delete || buffer_[i].is_delete();
-    }
+    scratch->edges.push_back(buffer_[i].edge);
+    scratch->ops.push_back(buffer_[i].op);
+    any_delete = any_delete || buffer_[i].is_delete();
   }
   // All-insert batches report an empty ops span so downstream keeps the
   // insert-only fast path.
-  if (ops != nullptr && !any_delete) ops->clear();
+  if (!any_delete) scratch->ops.clear();
   buffer_.erase(buffer_.begin(),
                 buffer_.begin() + static_cast<std::ptrdiff_t>(take));
   delivered_ += take;
@@ -171,20 +147,8 @@ std::size_t QueueEdgeStream::PopEvents(std::size_t max_edges,
   // Fire the space hook outside the lock: it typically pokes an eventfd or
   // scheduler, and must be free to call back into the queue.
   if (freed_space && space_hook_) space_hook_();
-  return take;
-}
-
-std::size_t QueueEdgeStream::NextBatch(std::size_t max_edges,
-                                       std::vector<Edge>* batch) {
-  return PopEvents(max_edges, batch, nullptr);
-}
-
-EventBatchView QueueEdgeStream::NextEventBatchView(std::size_t max_edges,
-                                                   EventScratch* scratch) {
-  EventScratch& out = scratch != nullptr ? *scratch : event_scratch_;
-  PopEvents(max_edges, &out.edges, &out.ops);
-  return EventBatchView{std::span<const Edge>(out.edges),
-                        std::span<const EdgeOp>(out.ops)};
+  return EventBatchView{std::span<const Edge>(scratch->edges),
+                        std::span<const EdgeOp>(scratch->ops)};
 }
 
 bool QueueEdgeStream::ready(std::size_t max_edges) const {
@@ -198,8 +162,8 @@ void QueueEdgeStream::Reset() {
   buffer_.clear();
   closed_ = false;
   delete_pushed_ = false;
-  edge_read_failed_ = false;
   status_ = Status::Ok();
+  ClearEdgeOnlyFailure();
   delivered_ = 0;
   wait_seconds_ = 0.0;
 }
@@ -216,7 +180,7 @@ double QueueEdgeStream::io_seconds() const {
 
 Status QueueEdgeStream::status() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return status_;
+  return MergeEdgeOnlyFailure(status_);
 }
 
 }  // namespace stream

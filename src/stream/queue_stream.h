@@ -10,37 +10,33 @@
 // Semantics:
 //   * Bounded + blocking both ways. Push() blocks while the buffer holds
 //     `capacity()` edges (backpressure -- a slow consumer throttles its
-//     producers instead of growing without bound); NextBatch() blocks until
-//     a full batch (min(max_edges, capacity) edges) is buffered or the
+//     producers instead of growing without bound); a pull blocks until a
+//     full batch (min(max_edges, capacity) edges) is buffered or the
 //     queue is closed, so an idle feed looks like slow I/O, not end of
 //     stream, and batch boundaries are decided by the consumer's request
-//     size, never by producer timing -- the same chunking-independence the
-//     socket source provides, making estimates bit-identical to
-//     file/memory ingest of the same edges. Time spent blocked in
-//     NextBatch() is reported as io_seconds(), mirroring the file readers'
-//     read-time accounting.
+//     size, never by producer timing -- making estimates bit-identical to
+//     file/memory ingest of the same edges. Time spent blocked in a pull
+//     is reported as io_seconds(), mirroring the file readers' read-time
+//     accounting.
 //   * Close(status) ends the stream. Producers report clean EOF with
 //     Close() / Close(Status::Ok()) and failure (disconnect, truncated
 //     frame, upstream error) with Close(some error). Buffered edges are
-//     still drained after Close; once empty, NextBatch returns 0 and
+//     still drained after Close; once empty, a pull returns nothing and
 //     status() is the close status -- the sticky-status contract of
 //     EdgeStream, so a failed feed can never masquerade as a clean prefix.
 //     The queue closes at the first Close() call, but a later non-OK close
 //     still upgrades an OK status (a straggler producer reporting failure
 //     after a clean close must not be silenced).
 //   * Multi-producer, single-consumer. Push may be called from any number
-//     of threads; NextBatch/NextBatchView/Reset must come from one consumer
-//     thread at a time. A span Push is admitted atomically (its edges are
-//     contiguous in the stream) unless it exceeds the whole capacity, in
-//     which case it is admitted in capacity-sized runs that may interleave
-//     with other producers.
+//     of threads; pulls and Reset must come from one consumer thread at a
+//     time. A span Push is admitted atomically (its edges are contiguous
+//     in the stream) unless it exceeds the whole capacity, in which case
+//     it is admitted in capacity-sized runs that may interleave with
+//     other producers.
 //   * Reset() reopens an emptied queue for reuse (a live feed cannot
 //     replay); the caller must ensure no producer is active across Reset.
-//   * Turnstile-capable: producers may push events (edge + op). Event
-//     consumers pull via NextEventBatchView; the edge-only NextBatch keeps
-//     working while every buffered event is an insert and fails with a
-//     sticky InvalidArgument at the first delete (the delete is left in
-//     the queue, never silently dropped).
+//   * Turnstile-capable: producers may push events (edge + op), and the
+//     event pull delivers them verbatim.
 #ifndef TRISTREAM_STREAM_QUEUE_STREAM_H_
 #define TRISTREAM_STREAM_QUEUE_STREAM_H_
 
@@ -120,16 +116,14 @@ class QueueEdgeStream : public EdgeStream {
 
   // ------------------------------------------------------- consumer side
 
-  std::size_t NextBatch(std::size_t max_edges,
-                        std::vector<Edge>* batch) override;
-  /// Event pull with NextBatch's blocking/batching semantics. Fills
-  /// `scratch` (or internal buffers when null) and returns a view of it;
-  /// the ops span is empty when the batch is all-inserts.
+  /// Blocks as described in the file comment, then fills `*scratch`
+  /// (non-null) and returns a view of it; the ops span is empty when the
+  /// batch is all-inserts.
   EventBatchView NextEventBatchView(std::size_t max_edges,
                                     EventScratch* scratch) override;
   /// True once any delete event has been pushed.
   bool turnstile() const override;
-  /// True when NextBatch(max_edges) would return without waiting: a full
+  /// True when a pull of `max_edges` would return without waiting: a full
   /// batch (min(max_edges, capacity)) is buffered, or the queue is closed
   /// (the remainder drains, then end of stream).
   bool ready(std::size_t max_edges) const override;
@@ -141,13 +135,6 @@ class QueueEdgeStream : public EdgeStream {
   Status status() const override;
 
  private:
-  /// Shared pop core. With `ops == nullptr` (edge-only consumer) the take
-  /// stops before the first buffered delete and the sticky status becomes
-  /// InvalidArgument; with ops the take is verbatim. Returns events
-  /// delivered.
-  std::size_t PopEvents(std::size_t max_edges, std::vector<Edge>* edges,
-                        std::vector<EdgeOp>* ops);
-
   const std::size_t capacity_;
   mutable std::mutex mu_;
   std::condition_variable can_push_;  // signals producers: space freed
@@ -155,16 +142,11 @@ class QueueEdgeStream : public EdgeStream {
   std::deque<EdgeEvent> buffer_;
   bool closed_ = false;
   bool delete_pushed_ = false;
-  /// The edge-only consumer hit a delete (distinct from a Close(error)
-  /// status, which still drains the buffer).
-  bool edge_read_failed_ = false;
   Status status_;
   std::uint64_t delivered_ = 0;
   double wait_seconds_ = 0.0;
   /// Set once before concurrent use; invoked outside mu_ (see SetSpaceHook).
   std::function<void()> space_hook_;
-  /// Fallback staging for NextEventBatchView(scratch == nullptr).
-  EventScratch event_scratch_;
 };
 
 }  // namespace stream

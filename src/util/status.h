@@ -30,8 +30,8 @@ enum class StatusCode {
   // been written). Callers typically treat this as "start fresh", not as a
   // hard failure.
   kUnavailable,
-  // An operation ran out of time waiting on a peer (e.g. a socket source's
-  // receive idle timeout fired). Distinct from kIoError: the transport is
+  // An operation ran out of time waiting on a peer (e.g. serve's receive
+  // idle timeout fired on a connection). Distinct from kIoError: the transport is
   // healthy but silent, so the caller may reclaim the slot or retry.
   kDeadlineExceeded,
 };

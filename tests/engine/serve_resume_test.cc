@@ -48,47 +48,6 @@ namespace {
 
 constexpr std::size_t kBatch = 256;
 
-/// In-memory turnstile source over an owned event list (the serve tests'
-/// counterpart of MemoryEdgeStream for streams with deletes).
-class MemoryEventStream : public stream::EdgeStream {
- public:
-  explicit MemoryEventStream(const EdgeEventList& events)
-      : events_(&events) {}
-
-  std::size_t NextBatch(std::size_t max_edges,
-                        std::vector<Edge>* batch) override {
-    batch->clear();
-    stream::EventScratch scratch;
-    const EventBatchView view = NextEventBatchView(max_edges, &scratch);
-    if (view.has_deletes()) return 0;
-    batch->assign(view.edges.begin(), view.edges.end());
-    return batch->size();
-  }
-
-  EventBatchView NextEventBatchView(std::size_t max_edges,
-                                    stream::EventScratch* scratch) override {
-    (void)scratch;
-    const std::size_t n = std::min(
-        max_edges, events_->size() - static_cast<std::size_t>(cursor_));
-    const EventBatchView view{
-        std::span<const Edge>(events_->edges).subspan(cursor_, n),
-        events_->ops.empty()
-            ? std::span<const EdgeOp>{}
-            : std::span<const EdgeOp>(events_->ops).subspan(cursor_, n)};
-    cursor_ += n;
-    return view;
-  }
-
-  bool turnstile() const override { return events_->has_deletes(); }
-  bool stable_views() const override { return true; }
-  void Reset() override { cursor_ = 0; }
-  std::uint64_t edges_delivered() const override { return cursor_; }
-
- private:
-  const EdgeEventList* events_;
-  std::uint64_t cursor_ = 0;
-};
-
 /// Polls server stats until `pred` holds or the deadline passes.
 template <typename Pred>
 bool WaitForStats(Server& server, Pred pred, int seconds = 30) {
@@ -264,7 +223,7 @@ TEST(ServeResumeTest, FailedIdentityReplaysTombstone) {
   EdgeEventList events;
   events.Add(Edge(1, 2));
   events.Add(Edge(1, 2), EdgeOp::kDelete);
-  MemoryEventStream source(events);
+  stream::MemoryEdgeStream source(events);
   auto first = RunFeedClient(source, TestFeedOptions(*port, 13, 0));
   ASSERT_FALSE(first.ok());
   EXPECT_EQ(first.status().code(), StatusCode::kInvalidArgument)
@@ -273,7 +232,7 @@ TEST(ServeResumeTest, FailedIdentityReplaysTombstone) {
 
   // Reconnecting under the same identity replays the stored outcome
   // verbatim -- same code, same message.
-  MemoryEventStream again(events);
+  stream::MemoryEdgeStream again(events);
   auto second = RunFeedClient(again, TestFeedOptions(*port, 13, 0));
   ASSERT_FALSE(second.ok());
   EXPECT_EQ(second.status().code(), first.status().code());

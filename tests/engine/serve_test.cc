@@ -57,9 +57,15 @@ ServeOptions BaseOptions() {
   return options;
 }
 
-/// The reference estimate: one dedicated StreamEngine::Run with the same
+/// The reference estimates: one dedicated StreamEngine::Run with the same
 /// (algo, config, batch size) every serve session uses.
-double IsolatedTriangles(const graph::EdgeList& el) {
+struct Estimates {
+  double triangles = 0.0;
+  double wedges = 0.0;
+  double transitivity = 0.0;
+};
+
+Estimates IsolatedRun(const graph::EdgeList& el) {
   auto est = MakeEstimator("bulk", TestConfig());
   EXPECT_TRUE(est.ok());
   stream::MemoryEdgeStream source(el);
@@ -67,7 +73,12 @@ double IsolatedTriangles(const graph::EdgeList& el) {
   options.batch_size = kBatch;
   StreamEngine eng(options);
   EXPECT_TRUE(eng.Run(**est, source).ok());
-  return (*est)->EstimateTriangles();
+  return {(*est)->EstimateTriangles(), (*est)->EstimateWedges(),
+          (*est)->EstimateTransitivity()};
+}
+
+double IsolatedTriangles(const graph::EdgeList& el) {
+  return IsolatedRun(el).triangles;
 }
 
 Status RecvAll(int fd, void* out, std::size_t size) {
@@ -490,6 +501,167 @@ TEST(ServeTest, BadFrameFailsOnlyItsOwnSession) {
   const ServerStats stats = server.stats();
   EXPECT_EQ(stats.completed, 1u);
   EXPECT_EQ(stats.failed, 1u);
+}
+
+// ------------------------------------------------ TRIS frame decoding
+
+/// Sends all of `bytes`, `chunk` bytes per send() call.
+void SendChunked(int fd, const std::vector<char>& bytes, std::size_t chunk) {
+  for (std::size_t off = 0; off < bytes.size(); off += chunk) {
+    const std::size_t n = std::min(chunk, bytes.size() - off);
+    ASSERT_EQ(::send(fd, bytes.data() + off, n, MSG_NOSIGNAL),
+              static_cast<ssize_t>(n));
+  }
+}
+
+/// A TRIS frame header announcing `count` records of `version`.
+std::vector<char> TrisHeader(std::uint32_t version, std::uint64_t count) {
+  std::vector<char> header(stream::kTrisHeaderBytes);
+  std::memcpy(header.data(), stream::kTrisMagic, 4);
+  std::memcpy(header.data() + 4, &version, sizeof(version));
+  std::memcpy(header.data() + 8, &count, sizeof(count));
+  return header;
+}
+
+/// `el` as v1 frames of `stride` edges, each preceded by a keep-alive
+/// (a count-0 frame, alternately v1 and v2) when `keep_alives` is set.
+std::vector<char> EncodeFrames(const graph::EdgeList& el, std::size_t stride,
+                               bool keep_alives) {
+  std::vector<char> bytes;
+  const std::span<const Edge> edges(el.edges());
+  for (std::size_t off = 0; off < edges.size(); off += stride) {
+    if (keep_alives) {
+      const std::vector<char> ka = TrisHeader(
+          (off / stride) % 2 == 0 ? stream::kTrisVersion
+                                  : stream::kTrisVersion2,
+          0);
+      bytes.insert(bytes.end(), ka.begin(), ka.end());
+    }
+    const std::span<const Edge> frame =
+        edges.subspan(off, std::min(stride, edges.size() - off));
+    const std::vector<char> header =
+        TrisHeader(stream::kTrisVersion, frame.size());
+    bytes.insert(bytes.end(), header.begin(), header.end());
+    const char* payload = reinterpret_cast<const char*>(frame.data());
+    bytes.insert(bytes.end(), payload, payload + frame.size_bytes());
+  }
+  return bytes;
+}
+
+/// Half-closes `fd` and returns the server's last reply: the final TRIR,
+/// or the TRIE that failed the session.
+Reply FinishAndReadLastReply(int fd) {
+  ::shutdown(fd, SHUT_WR);
+  Reply last;
+  while (true) {
+    auto reply = ReadReply(fd);
+    EXPECT_TRUE(reply.ok()) << reply.status();
+    if (!reply.ok()) break;
+    last = *reply;
+    if (last.is_error || last.snapshot.final_result) break;
+  }
+  return last;
+}
+
+/// `last` is a final TRIR equal to the standalone run over `el`.
+void ExpectStandaloneFinal(const Reply& last, const graph::EdgeList& el) {
+  ASSERT_FALSE(last.is_error) << last.error;
+  EXPECT_TRUE(last.snapshot.final_result);
+  EXPECT_EQ(last.snapshot.edges, el.size());
+  const Estimates want = IsolatedRun(el);
+  EXPECT_EQ(last.snapshot.triangles, want.triangles);
+  EXPECT_EQ(last.snapshot.wedges, want.wedges);
+  EXPECT_EQ(last.snapshot.transitivity, want.transitivity);
+}
+
+TEST(ServeTest, UnsupportedFrameVersionGetsTrieNamingIt) {
+  Server server(BaseOptions());
+  auto port = server.Start();
+  ASSERT_TRUE(port.ok());
+  auto fd = stream::ConnectToLoopback(*port);
+  ASSERT_TRUE(fd.ok());
+  SendChunked(*fd, TrisHeader(7, 0), stream::kTrisHeaderBytes);
+  const Reply last = FinishAndReadLastReply(*fd);
+  ::close(*fd);
+  ASSERT_TRUE(last.is_error);
+  const TrieError error = ParseTrieMessage(last.error);
+  EXPECT_EQ(error.code, StatusCode::kCorruptData) << last.error;
+  EXPECT_NE(error.message.find("unsupported version 7"), std::string::npos)
+      << last.error;
+  server.Stop();
+  server.Wait();
+  EXPECT_EQ(server.stats().failed, 1u);
+}
+
+/// A peer that half-closes inside a frame -- in a header after a
+/// complete frame, or in a payload -- fails its session with
+/// CorruptData: the edges already absorbed are a prefix, not the stream.
+TEST(ServeTest, HalfCloseMidFrameIsCorruptData) {
+  const auto el = gen::GnmRandom(100, 600, 29);
+  const std::vector<char> whole = EncodeFrames(el, 100, false);
+  struct Cut {
+    const char* where;
+    std::size_t bytes;
+  };
+  const std::size_t first_frame = stream::kTrisHeaderBytes + 100 * sizeof(Edge);
+  for (const Cut cut : {Cut{"mid-header", first_frame + 5},
+                        Cut{"mid-payload", first_frame + 30 * sizeof(Edge)},
+                        Cut{"mid-pair", first_frame + 30 * sizeof(Edge) + 3}}) {
+    SCOPED_TRACE(cut.where);
+    Server server(BaseOptions());
+    auto port = server.Start();
+    ASSERT_TRUE(port.ok());
+    auto fd = stream::ConnectToLoopback(*port);
+    ASSERT_TRUE(fd.ok());
+    const std::vector<char> sent(whole.begin(), whole.begin() + cut.bytes);
+    SendChunked(*fd, sent, sent.size());
+    const Reply last = FinishAndReadLastReply(*fd);
+    ::close(*fd);
+    ASSERT_TRUE(last.is_error);
+    const TrieError error = ParseTrieMessage(last.error);
+    EXPECT_EQ(error.code, StatusCode::kCorruptData) << last.error;
+    EXPECT_NE(error.message.find("closed mid-frame"), std::string::npos)
+        << last.error;
+    server.Stop();
+    server.Wait();
+    EXPECT_EQ(server.stats().failed, 1u);
+  }
+}
+
+/// Count-0 frames, v1 or v2, deliver nothing and end nothing.
+TEST(ServeTest, KeepAliveFramesChangeNothing) {
+  const auto el = gen::GnmRandom(200, 2500, 31);
+  Server server(BaseOptions());
+  auto port = server.Start();
+  ASSERT_TRUE(port.ok());
+  auto fd = stream::ConnectToLoopback(*port);
+  ASSERT_TRUE(fd.ok());
+  std::vector<char> bytes = EncodeFrames(el, 333, true);
+  const std::vector<char> trailing = TrisHeader(stream::kTrisVersion, 0);
+  bytes.insert(bytes.end(), trailing.begin(), trailing.end());
+  SendChunked(*fd, bytes, bytes.size());
+  const Reply last = FinishAndReadLastReply(*fd);
+  ::close(*fd);
+  ExpectStandaloneFinal(last, el);
+  server.Stop();
+  server.Wait();
+}
+
+/// Frames split at every byte boundary: the decoder reassembles headers
+/// and pairs across reads and ends in the standalone run's final TRIR.
+TEST(ServeTest, OneBytePerSendMatchesStandaloneRun) {
+  const auto el = gen::GnmRandom(120, 900, 43);
+  Server server(BaseOptions());
+  auto port = server.Start();
+  ASSERT_TRUE(port.ok());
+  auto fd = stream::ConnectToLoopback(*port);
+  ASSERT_TRUE(fd.ok());
+  SendChunked(*fd, EncodeFrames(el, 250, false), 1);
+  const Reply last = FinishAndReadLastReply(*fd);
+  ::close(*fd);
+  ExpectStandaloneFinal(last, el);
+  server.Stop();
+  server.Wait();
 }
 
 /// The serve-side receive idle sweep: a connection that goes silent

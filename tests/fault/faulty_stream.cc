@@ -52,24 +52,6 @@ std::size_t FaultyEdgeStream::CapPull(std::size_t max_edges) const {
       std::min<std::uint64_t>(max_edges, std::max<std::uint64_t>(room, 1)));
 }
 
-std::size_t FaultyEdgeStream::NextBatch(std::size_t max_edges,
-                                        std::vector<Edge>* batch) {
-  batch->clear();
-  if (!injected_.ok() || !ApplyDueFaults()) return 0;
-  const std::size_t got = inner_.NextBatch(CapPull(max_edges), batch);
-  delivered_ += got;
-  return got;
-}
-
-std::span<const Edge> FaultyEdgeStream::NextBatchView(
-    std::size_t max_edges, std::vector<Edge>* scratch) {
-  if (!injected_.ok() || !ApplyDueFaults()) return {};
-  const std::span<const Edge> view =
-      inner_.NextBatchView(CapPull(max_edges), scratch);
-  delivered_ += view.size();
-  return view;
-}
-
 EventBatchView FaultyEdgeStream::NextEventBatchView(
     std::size_t max_edges, stream::EventScratch* scratch) {
   if (!injected_.ok() || !ApplyDueFaults()) return {};
@@ -89,6 +71,7 @@ void FaultyEdgeStream::Reset() {
   schedule_.Reset();
   delivered_ = 0;
   injected_ = Status::Ok();
+  ClearEdgeOnlyFailure();
 }
 
 }  // namespace fault

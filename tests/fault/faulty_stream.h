@@ -41,10 +41,6 @@ class FaultyEdgeStream : public stream::EdgeStream {
   FaultyEdgeStream(stream::EdgeStream& inner, FaultSchedule schedule)
       : inner_(inner), schedule_(std::move(schedule)) {}
 
-  std::size_t NextBatch(std::size_t max_edges,
-                        std::vector<Edge>* batch) override;
-  std::span<const Edge> NextBatchView(std::size_t max_edges,
-                                      std::vector<Edge>* scratch) override;
   EventBatchView NextEventBatchView(std::size_t max_edges,
                                     stream::EventScratch* scratch) override;
   bool turnstile() const override { return inner_.turnstile(); }
@@ -59,7 +55,8 @@ class FaultyEdgeStream : public stream::EdgeStream {
   /// The injected sticky failure once a point fired; the inner stream's
   /// status otherwise.
   Status status() const override {
-    return injected_.ok() ? inner_.status() : injected_;
+    return MergeEdgeOnlyFailure(injected_.ok() ? inner_.status()
+                                               : injected_);
   }
 
   const FaultSchedule& schedule() const { return schedule_; }

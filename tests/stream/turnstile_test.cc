@@ -1,9 +1,11 @@
 // Turnstile (TRIS v2) coverage: event round-trips through files (FILE and
 // mmap readers), queues, and text; v1 compatibility (passthrough writes,
-// all-insert decoding); and the loud-failure contract for edge-only reads,
-// truncation, and bad op bytes.
+// all-insert decoding); and the loud-failure contract for edge-only reads
+// (one rule, checked on every source), truncation, and bad op bytes.
 
 #include <cstdio>
+#include <memory>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -257,6 +259,152 @@ TEST(TurnstileFailureTest, QueueEdgeOnlyReadFailsAtFirstDelete) {
   EXPECT_EQ(q.NextBatch(1, &batch), 1u);  // the insert drains fine
   EXPECT_EQ(q.NextBatch(1, &batch), 0u);  // the delete refuses edge form
   EXPECT_EQ(q.status().code(), StatusCode::kInvalidArgument);
+}
+
+/// Five inserts, a delete of the first (live) edge, then more inserts.
+/// Pulled kRulePull at a time, the delete lands inside the second batch,
+/// behind one insert of that batch.
+EdgeEventList DeleteAfterFiveInserts() {
+  EdgeEventList ev;
+  for (VertexId v = 0; v < 5; ++v) ev.Add(Edge(v, v + 1));
+  ev.Add(Edge(0, 1), EdgeOp::kDelete);
+  ev.Add(Edge(7, 8));
+  ev.Add(Edge(8, 9));
+  ev.Add(Edge(9, 10));
+  return ev;
+}
+constexpr std::size_t kRulePull = 4;
+constexpr std::size_t kBeforeFirstDelete = 5;
+
+/// Which source a TurnstileFailureTest case builds.
+enum class RuleReader { kFile, kMmap, kText, kQueue, kMemory };
+
+struct RuleCase {
+  const char* name;
+  RuleReader reader;
+  bool dedup;  // behind a DedupEdgeStream
+};
+
+void PrintTo(const RuleCase& c, std::ostream* os) { *os << c.name; }
+
+/// Every source, alone and behind the dedup filter.
+class TurnstileFailureTest : public ::testing::TestWithParam<RuleCase> {
+ protected:
+  /// Builds the source under test over events_ (null after a failure).
+  std::unique_ptr<EdgeStream> Make() {
+    const RuleCase& c = GetParam();
+    std::unique_ptr<EdgeStream> source;
+    if (c.reader == RuleReader::kQueue) {
+      auto queue = std::make_unique<QueueEdgeStream>(64);
+      queue_ = queue.get();
+      Refill();
+      source = std::move(queue);
+    } else if (c.reader == RuleReader::kMemory) {
+      source = std::make_unique<MemoryEdgeStream>(events_);
+    } else {
+      const std::string path = TempPath(std::string("rule_") + c.name);
+      const Status written = c.reader == RuleReader::kText
+                                 ? WriteTextEvents(path, events_)
+                                 : WriteBinaryEvents(path, events_);
+      EXPECT_TRUE(written.ok()) << written;
+      EdgeSourceInfo info;
+      auto opened = OpenEdgeSource(
+          path, {.prefer_mmap = c.reader == RuleReader::kMmap}, &info);
+      if (!opened.ok()) {
+        ADD_FAILURE() << opened.status();
+        return nullptr;
+      }
+      if (c.reader == RuleReader::kMmap) {
+        // Mapping may fall back to FILE reads; this case must not.
+        EXPECT_EQ(info.reader, EdgeSourceInfo::Reader::kMmap);
+      }
+      source = std::move(*opened);
+    }
+    if (c.dedup) source = std::make_unique<DedupEdgeStream>(std::move(source));
+    return source;
+  }
+
+  /// Feeds the queue again: a live queue cannot replay, the other sources
+  /// replay after Reset() alone.
+  void Refill() {
+    if (queue_ == nullptr) return;
+    EXPECT_EQ(queue_->PushEvents(events_.edges, events_.ops), events_.size());
+    queue_->Close();
+  }
+
+  const EdgeEventList events_ = DeleteAfterFiveInserts();
+  QueueEdgeStream* queue_ = nullptr;  // owned by the stream under test
+};
+
+TEST_P(TurnstileFailureTest, EdgeOnlyPullStopsAtFirstDeleteUntilReset) {
+  const std::unique_ptr<EdgeStream> source = Make();
+  ASSERT_NE(source, nullptr);
+  EdgeStream& s = *source;
+  // Round 0 pulls through NextBatch, round 1 through NextBatchView.
+  for (int round = 0; round < 2; ++round) {
+    SCOPED_TRACE(round == 0 ? "NextBatch" : "NextBatchView");
+    std::vector<Edge> got;
+    std::vector<Edge> batch;
+    for (;;) {
+      std::span<const Edge> view;
+      if (round == 0) {
+        const std::size_t n = s.NextBatch(kRulePull, &batch);
+        view = std::span<const Edge>(batch.data(), n);
+      } else {
+        view = s.NextBatchView(kRulePull, &batch);
+      }
+      if (view.empty()) break;
+      got.insert(got.end(), view.begin(), view.end());
+    }
+    // Exactly the events before the first delete: the failing batch's
+    // insert prefix included, nothing from the delete on.
+    ASSERT_EQ(got.size(), kBeforeFirstDelete);
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i], events_.edges[i]) << "edge " << i;
+    }
+    EXPECT_EQ(s.status().code(), StatusCode::kInvalidArgument) << s.status();
+    // Sticky: later edge-only pulls deliver nothing, the status holds.
+    EXPECT_EQ(s.NextBatch(kRulePull, &batch), 0u);
+    EXPECT_TRUE(batch.empty());
+    EXPECT_TRUE(s.NextBatchView(kRulePull, &batch).empty());
+    EXPECT_EQ(s.status().code(), StatusCode::kInvalidArgument) << s.status();
+    s.Reset();
+    EXPECT_TRUE(s.status().ok()) << s.status();
+    Refill();
+  }
+}
+
+constexpr RuleCase kRuleCases[] = {
+    {"file", RuleReader::kFile, false},
+    {"mmap", RuleReader::kMmap, false},
+    {"text", RuleReader::kText, false},
+    {"queue", RuleReader::kQueue, false},
+    {"memory_events", RuleReader::kMemory, false},
+    {"dedup_file", RuleReader::kFile, true},
+    {"dedup_mmap", RuleReader::kMmap, true},
+    {"dedup_text", RuleReader::kText, true},
+    {"dedup_queue", RuleReader::kQueue, true},
+    {"dedup_memory_events", RuleReader::kMemory, true},
+};
+
+INSTANTIATE_TEST_SUITE_P(EverySource, TurnstileFailureTest,
+                         ::testing::ValuesIn(kRuleCases),
+                         [](const ::testing::TestParamInfo<RuleCase>& info) {
+                           return std::string(info.param.name);
+                         });
+
+TEST(TurnstileFailureTest, SourceErrorBeforeTheDeleteWins) {
+  // The queue failed (Close with an error) before the consumer reached the
+  // delete: the source's own error is what status() keeps reporting.
+  QueueEdgeStream q(64);
+  ASSERT_TRUE(q.PushEvent({Edge(0, 1), EdgeOp::kInsert}));
+  ASSERT_TRUE(q.PushEvent({Edge(0, 1), EdgeOp::kDelete}));
+  q.Close(Status::IoError("producer disconnected"));
+  std::vector<Edge> batch;
+  EXPECT_EQ(q.NextBatch(8, &batch), 1u);
+  EXPECT_EQ(q.status().code(), StatusCode::kIoError) << q.status();
+  EXPECT_EQ(q.NextBatch(8, &batch), 0u);
+  EXPECT_EQ(q.status().code(), StatusCode::kIoError) << q.status();
 }
 
 TEST(TurnstileFailureTest, TruncatedPairSectionIsCorruptData) {

@@ -339,28 +339,6 @@ std::unique_ptr<stream::EdgeStream> OpenSourceOrDie(
   return std::move(*source);
 }
 
-/// Loads a whole edge file into memory (format sniffed by magic),
-/// enforcing simplicity.
-graph::EdgeList LoadEdges(const std::string& path) {
-  stream::DedupEdgeStream source(OpenSourceOrDie(path, {}));
-  graph::EdgeList clean;
-  std::vector<Edge> batch;
-  while (source.NextBatch(1 << 16, &batch) > 0) {
-    for (const Edge& e : batch) clean.Add(e);
-  }
-  if (!source.status().ok()) {
-    std::fprintf(stderr, "cannot load '%s': %s\n", path.c_str(),
-                 source.status().ToString().c_str());
-    std::exit(1);
-  }
-  const auto dropped = source.filter().offered() - source.filter().admitted();
-  if (dropped > 0) {
-    std::fprintf(stderr, "note: filtered %llu duplicate/self-loop edges\n",
-                 static_cast<unsigned long long>(dropped));
-  }
-  return clean;
-}
-
 Result<gen::DatasetId> DatasetByName(const std::string& name) {
   if (name == "amazon") return gen::DatasetId::kAmazon;
   if (name == "dblp") return gen::DatasetId::kDblp;
@@ -434,7 +412,10 @@ int CmdGenerate(const std::map<std::string, std::string>& flags) {
 
 /// Loads a whole edge/event file (any TRIS version or text) into memory
 /// through the dedup filter's live-map semantics, exiting on failure.
-EdgeEventList LoadEvents(const std::string& path) {
+/// `dropped`, when non-null, receives the number of events the filter
+/// dropped.
+EdgeEventList LoadEvents(const std::string& path,
+                         std::uint64_t* dropped = nullptr) {
   stream::DedupEdgeStream source(OpenSourceOrDie(path, {}));
   EdgeEventList events;
   stream::EventScratch scratch;
@@ -450,7 +431,31 @@ EdgeEventList LoadEvents(const std::string& path) {
                  source.status().ToString().c_str());
     std::exit(1);
   }
+  if (dropped != nullptr) {
+    *dropped = source.filter().offered() - source.filter().admitted();
+  }
   return events;
+}
+
+/// Loads a whole edge file into memory (format sniffed by magic),
+/// enforcing simplicity; a file with a delete event exits with
+/// InvalidArgument.
+graph::EdgeList LoadEdges(const std::string& path) {
+  std::uint64_t dropped = 0;
+  EdgeEventList events = LoadEvents(path, &dropped);
+  if (events.has_deletes()) {
+    const Status refused = Status::InvalidArgument(
+        "turnstile stream with delete events; this command reads edges "
+        "only -- count --algo dynamic reads deletions");
+    std::fprintf(stderr, "cannot load '%s': %s\n", path.c_str(),
+                 refused.ToString().c_str());
+    std::exit(1);
+  }
+  if (dropped > 0) {
+    std::fprintf(stderr, "note: filtered %llu duplicate/self-loop edges\n",
+                 static_cast<unsigned long long>(dropped));
+  }
+  return graph::EdgeList(std::move(events.edges));
 }
 
 int CmdInspect(const std::map<std::string, std::string>& flags) {
@@ -772,9 +777,7 @@ int CmdLive(const std::map<std::string, std::string>& flags) {
 
   // live is the single-session special case of serve: one accepted
   // connection, one window session, the same event loop, queue
-  // backpressure, and scheduler the multi-tenant mode uses -- the
-  // bespoke accept-one/SocketEdgeStream loop this command used to carry
-  // is gone. Output and exit codes are unchanged.
+  // backpressure, and scheduler the multi-tenant mode uses.
   engine::ServeOptions options;
   options.port = static_cast<std::uint16_t>(port);
   options.algo = "window";
