@@ -12,6 +12,14 @@
 // EVENTB as per-vertex incidence lists, so Γ(r1)(x) = {EVENTB(x, d) :
 // β(r1)(x) < d <= deg_B(x)} is a contiguous slice of x's list.
 //
+// The vertex -> dense id table is the index's own linear-probing array of
+// 8-byte slots {u32 vertex, u32 id + 1}. Id + 1 == 0 marks an empty slot,
+// so every u32 is a valid vertex (serve frames can carry 0xffffffff).
+// Build() empties the table per batch by overwriting it. The table is
+// sized for w vertices, doubles mid-build when a batch touches more, and
+// never shrinks, so batches that each touch more than w vertices pay for
+// the growth once, not per batch.
+//
 // This header is an implementation detail of core::TriangleCounter; it is
 // exposed (and unit-tested against the paper's Figure 2 worked example)
 // because the event algebra is the subtle part of the whole scheme.
@@ -23,6 +31,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "util/flat_hash_map.h"
@@ -58,21 +67,24 @@ class BatchIndex {
     // table for w and let it grow past that. The cap bounds eager memory
     // for pathologically large batches.
     constexpr std::size_t kMaxEagerReserve = std::size_t{1} << 22;
-    ids_.Clear();
-    ids_.Reserve(std::min(w, kMaxEagerReserve));
+    ClearSlots(ProbeTableCapacity(std::min(w, kMaxEagerReserve)));
     begin_.clear();
     begin_.reserve(std::min(2 * w, kMaxEagerReserve) + 1);
     positions_.resize(w);
     // begin_ counts each id's incidences during the pass (the EVENTB
     // degrees) and becomes the exclusive prefix sum after it.
     auto id_of = [this](VertexId x) {
-      const std::size_t before = ids_.size();
-      std::uint32_t& id = ids_[x];
-      if (ids_.size() != before) {
-        id = static_cast<std::uint32_t>(begin_.size());
+      std::size_t idx = Probe(x);
+      if (slots_[idx].id_plus_one == 0) {
+        const std::size_t n = begin_.size();
+        if ((n + 1) * 8 > (mask_ + 1) * 7) {
+          Grow();
+          idx = Probe(x);
+        }
+        slots_[idx] = {x, static_cast<std::uint32_t>(n + 1)};
         begin_.push_back(0);
       }
-      return id;
+      return slots_[idx].id_plus_one - 1;
     };
     // Two stages kLag edges apart hide the misses of production batch
     // sizes: the first resolves an edge's ids (their table slots were
@@ -81,8 +93,8 @@ class BatchIndex {
     constexpr std::size_t kLag = 8;
     for (std::size_t j = 0; j < w + kLag; ++j) {
       if (j + 2 * kLag < w) {
-        ids_.Prefetch(batch[j + 2 * kLag].u);
-        ids_.Prefetch(batch[j + 2 * kLag].v);
+        __builtin_prefetch(&slots_[Home(batch[j + 2 * kLag].u)]);
+        __builtin_prefetch(&slots_[Home(batch[j + 2 * kLag].v)]);
       }
       if (j < w) {
         Position& p = positions_[j];
@@ -123,8 +135,8 @@ class BatchIndex {
 
   /// Dense id of `x`, or kAbsent when no batch edge touches it.
   std::uint32_t IdOf(VertexId x) const {
-    const std::uint32_t* id = ids_.Find(x);
-    return id != nullptr ? *id : kAbsent;
+    const Slot& slot = slots_[Probe(x)];
+    return slot.id_plus_one != 0 ? slot.id_plus_one - 1 : kAbsent;
   }
 
   /// deg_B of the vertex with dense id `id` (0 for kAbsent).
@@ -141,18 +153,60 @@ class BatchIndex {
   /// Bytes Build() leaves allocated for a batch of `w` edges that touches
   /// 2w distinct vertices, the most a batch can.
   static std::size_t BytesFor(std::size_t w) {
-    return FlatHashMap<std::uint32_t>::BytesFor(2 * w) + w * sizeof(Position) +
+    return ProbeTableCapacity(2 * w) * sizeof(Slot) +
+           w * sizeof(Position) +
            (4 * w + 1) * sizeof(std::uint32_t);
   }
 
   /// Bytes of heap memory held by the index.
   std::size_t MemoryBytes() const {
-    return ids_.MemoryBytes() + positions_.capacity() * sizeof(Position) +
+    return slots_.capacity() * sizeof(Slot) +
+           positions_.capacity() * sizeof(Position) +
            (begin_.capacity() + incident_.capacity()) * sizeof(std::uint32_t);
   }
 
  private:
-  FlatHashMap<std::uint32_t> ids_;        // vertex -> dense id
+  /// One vertex table entry; id_plus_one == 0 marks an empty slot.
+  struct Slot {
+    std::uint32_t vertex = 0;
+    std::uint32_t id_plus_one = 0;
+  };
+
+  std::size_t Home(VertexId x) const { return U64Mixer()(x) & mask_; }
+
+  /// Index of the slot holding `x`, or of the empty slot where it would go.
+  std::size_t Probe(VertexId x) const {
+    std::size_t idx = Home(x);
+    while (slots_[idx].id_plus_one != 0 && slots_[idx].vertex != x) {
+      idx = (idx + 1) & mask_;
+    }
+    return idx;
+  }
+
+  /// Empties the table, first growing it to at least `capacity` slots.
+  /// The table never shrinks: a batch probes as wide a table as the
+  /// widest batch before it needed.
+  void ClearSlots(std::size_t capacity) {
+    if (capacity > slots_.size()) {
+      slots_.assign(capacity, Slot{});
+    } else {
+      std::fill(slots_.begin(), slots_.end(), Slot{});
+    }
+    mask_ = slots_.size() - 1;
+  }
+
+  /// Doubles the table mid-build and re-places its entries.
+  void Grow() {
+    const std::vector<Slot> old = std::move(slots_);
+    slots_.assign(2 * old.size(), Slot{});
+    mask_ = slots_.size() - 1;
+    for (const Slot& slot : old) {
+      if (slot.id_plus_one != 0) slots_[Probe(slot.vertex)] = slot;
+    }
+  }
+
+  std::vector<Slot> slots_ = std::vector<Slot>(16);  // vertex -> id + 1
+  std::size_t mask_ = 15;                 // slots_.size() - 1
   std::vector<Position> positions_;       // per batch position
   std::vector<std::uint32_t> begin_;      // id -> first list slot; [n] = 2w
   std::vector<std::uint32_t> incident_;   // incidence lists, stream order

@@ -141,10 +141,12 @@ Result<EdgeEventList> ReadBinaryEvents(const std::string& path) {
 }
 
 Result<TrisHeader> ParseTrisHeader(const char* bytes,
-                                   std::string_view context) {
+                                   std::string_view context,
+                                   TrisHeader* raw) {
   TrisHeader header;
   std::memcpy(&header.version, bytes + 4, sizeof(header.version));
   std::memcpy(&header.count, bytes + 8, sizeof(header.count));
+  if (raw != nullptr) *raw = header;
   if (std::memcmp(bytes, kTrisMagic, 4) != 0) {
     return Status::CorruptData(std::string(context) + ": bad magic");
   }

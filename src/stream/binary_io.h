@@ -75,9 +75,12 @@ struct TrisHeader {
 
 /// Decodes the kTrisHeaderBytes bytes at `bytes`. CorruptData naming the
 /// bad field ("<context>: bad magic", "<context>: unsupported version N")
-/// when the magic is not "TRIS" or the version is neither 1 nor 2.
+/// when the magic is not "TRIS" or the version is neither 1 nor 2. `raw`,
+/// when non-null, receives the version and count as stored, whether or
+/// not they pass (inspect prints a header before it judges it).
 Result<TrisHeader> ParseTrisHeader(const char* bytes,
-                                   std::string_view context);
+                                   std::string_view context,
+                                   TrisHeader* raw = nullptr);
 
 /// Validates a batch of raw op bytes (anything above kDelete is wire
 /// corruption). Returns the offending byte via `*bad` when non-null.

@@ -14,11 +14,27 @@
 // of a self-loop). On an insert-only stream live == seen, so the filter
 // behaves bit-identically to the historical seen-set version -- which is
 // what keeps replay-after-resume exact for v1 streams.
+//
+// Slot layout: the table is a linear-probing power-of-two array of 8-byte
+// slots that hold the edge key alone. Edge::Key() puts the smaller
+// endpoint in the high word, and the filter never stores a self-loop, so
+// a live key's high word is always below its low word. A deleted edge
+// keeps its slot with the two words swapped (high word above low word),
+// which marks it dead without an erase or a tombstone: the probe chains
+// through it stay intact, and a re-insert finds and revives it. Neither
+// form is ever 0 (that would take a self-loop at vertex 0), so 0 marks an
+// empty slot. Every slot is hashed by its live form, on lookup and when
+// the table doubles. A delete of an edge the filter has never seen
+// inserts nothing.
 
 #ifndef TRISTREAM_STREAM_DEDUP_H_
 #define TRISTREAM_STREAM_DEDUP_H_
 
+#include <bit>
+#include <cstddef>
 #include <cstdint>
+#include <utility>
+#include <vector>
 
 #include "util/flat_hash_map.h"
 #include "util/types.h"
@@ -31,7 +47,8 @@ namespace stream {
 class DedupFilter {
  public:
   explicit DedupFilter(std::size_t expected_edges = 1 << 12)
-      : live_(expected_edges) {}
+      : slots_(ProbeTableCapacity(expected_edges), kEmpty),
+        mask_(slots_.size() - 1) {}
 
   /// Returns true when `e` is a new, valid simple edge (and records it).
   /// Equivalent to AdmitEvent(e, EdgeOp::kInsert).
@@ -42,18 +59,30 @@ class DedupFilter {
   bool AdmitEvent(const Edge& e, EdgeOp op) {
     ++offered_;
     if (e.self_loop() || !e.valid()) return false;
-    std::uint8_t& live = live_[e.Key()];
-    const std::uint8_t want = op == EdgeOp::kInsert ? 0 : 1;
-    if (live != want) return false;
-    live = want ^ 1;
+    const std::uint64_t key = e.Key();
+    std::size_t idx = Probe(key);
+    if (op == EdgeOp::kDelete) {
+      if (slots_[idx] != key) return false;  // empty or dead: not live
+      slots_[idx] = Swapped(key);
+    } else {
+      if (slots_[idx] == key) return false;  // already live
+      if (slots_[idx] == kEmpty) {
+        if ((used_ + 1) * 8 > slots_.size() * 7) {
+          Grow();
+          idx = Probe(key);
+        }
+        ++used_;
+      }
+      slots_[idx] = key;
+    }
     ++admitted_;
     return true;
   }
 
   /// True when `e` is currently in the live set.
   bool IsLive(const Edge& e) const {
-    const std::uint8_t* live = live_.Find(e.Key());
-    return live != nullptr && *live != 0;
+    if (e.self_loop() || !e.valid()) return false;
+    return slots_[Probe(e.Key())] == e.Key();
   }
 
   /// Events offered so far (admitted + rejected).
@@ -64,10 +93,53 @@ class DedupFilter {
   std::uint64_t admitted() const { return admitted_; }
 
   /// Memory held by the filter.
-  std::size_t MemoryBytes() const { return live_.MemoryBytes(); }
+  std::size_t MemoryBytes() const {
+    return slots_.size() * sizeof(std::uint64_t);
+  }
 
  private:
-  FlatHashMap<std::uint8_t> live_;
+  static constexpr std::uint64_t kEmpty = 0;
+
+  /// The same edge with its two key words exchanged: a live key's dead
+  /// form and back.
+  static std::uint64_t Swapped(std::uint64_t key) {
+    return std::rotl(key, 32);
+  }
+
+  /// The live form of an occupied slot, which is what it is hashed by.
+  static std::uint64_t LiveForm(std::uint64_t slot) {
+    return (slot >> 32) < (slot & 0xffffffffu) ? slot : Swapped(slot);
+  }
+
+  /// Index of the slot holding live `key` in either form, or of the empty
+  /// slot where it would be inserted.
+  std::size_t Probe(std::uint64_t key) const {
+    const std::uint64_t dead = Swapped(key);
+    std::size_t idx = U64Mixer()(key) & mask_;
+    while (slots_[idx] != kEmpty && slots_[idx] != key &&
+           slots_[idx] != dead) {
+      idx = (idx + 1) & mask_;
+    }
+    return idx;
+  }
+
+  /// Doubles the table, re-placing every slot (live or dead) by its live
+  /// form.
+  void Grow() {
+    const std::vector<std::uint64_t> old = std::move(slots_);
+    slots_.assign(2 * old.size(), kEmpty);
+    mask_ = slots_.size() - 1;
+    for (const std::uint64_t slot : old) {
+      if (slot == kEmpty) continue;
+      std::size_t idx = U64Mixer()(LiveForm(slot)) & mask_;
+      while (slots_[idx] != kEmpty) idx = (idx + 1) & mask_;
+      slots_[idx] = slot;
+    }
+  }
+
+  std::vector<std::uint64_t> slots_;  // live key, swapped dead key, or 0
+  std::size_t mask_;
+  std::size_t used_ = 0;  // non-empty slots, live or dead
   std::uint64_t offered_ = 0;
   std::uint64_t admitted_ = 0;
 };

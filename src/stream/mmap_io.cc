@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <type_traits>
+#include <utility>
 
 #include "stream/binary_io.h"
 
@@ -86,19 +87,21 @@ Result<std::unique_ptr<MmapEdgeStream>> MmapEdgeStream::Open(
           ? reinterpret_cast<const EdgeOp*>(bytes + kTrisHeaderBytes +
                                             count * sizeof(Edge))
           : nullptr;
-  return std::unique_ptr<MmapEdgeStream>(
-      new MmapEdgeStream(map, file_bytes, version, payload, ops, count));
+  return std::unique_ptr<MmapEdgeStream>(new MmapEdgeStream(
+      map, file_bytes, version, payload, ops, count, path));
 }
 
 MmapEdgeStream::MmapEdgeStream(void* map, std::size_t map_bytes,
                                std::uint32_t version, const Edge* payload,
-                               const EdgeOp* ops, std::uint64_t total_edges)
+                               const EdgeOp* ops, std::uint64_t total_edges,
+                               std::string path)
     : map_(map),
       map_bytes_(map_bytes),
       version_(version),
       payload_(payload),
       ops_(ops),
-      total_edges_(total_edges) {
+      total_edges_(total_edges),
+      path_(std::move(path)) {
   io_timer_.Restart();
   io_timer_.Pause();
 }
@@ -157,7 +160,7 @@ EventBatchView MmapEdgeStream::NextEventBatchView(std::size_t max_edges,
                          take, &bad)) {
       if (status_.ok()) {
         status_ = Status::CorruptData(
-            "edge file: op byte " + std::to_string(bad) +
+            "edge file '" + path_ + "': op byte " + std::to_string(bad) +
             " is neither insert nor delete");
       }
       return {};

@@ -84,7 +84,7 @@ class MmapEdgeStream : public EdgeStream {
  private:
   MmapEdgeStream(void* map, std::size_t map_bytes, std::uint32_t version,
                  const Edge* payload, const EdgeOp* ops,
-                 std::uint64_t total_edges);
+                 std::uint64_t total_edges, std::string path);
 
   /// Touches one byte per page of payload events [cursor_, end) -- pair
   /// section and, for v2, op section -- that have not been faulted in yet,
@@ -97,6 +97,7 @@ class MmapEdgeStream : public EdgeStream {
   const Edge* payload_;
   const EdgeOp* ops_;  // nullptr for v1
   std::uint64_t total_edges_;
+  std::string path_;  // names the file in errors
   std::uint64_t cursor_ = 0;
   std::size_t prefaulted_bytes_ = 0;
   std::size_t prefaulted_op_bytes_ = 0;

@@ -1,16 +1,23 @@
 // Open-addressing hash map tuned for the bulk-processing tables.
 //
 // The paper's bulkTC implementation (Sec. 3.3 / Sec. 4) keeps hash tables
-// per batch -- here the batch index's vertex -> dense id map and Q
-// (awaited closing edge -> subscriber list head) -- which are (a)
-// insert/lookup only, and (b) discarded wholesale after each batch.
-// FlatHashMap is a linear-probing power-of-two table with epoch-based O(1)
-// Clear(), so per-batch reuse costs nothing. The paper used GNU
-// unordered_map; this is the production-quality equivalent (no per-node
-// allocation, cache-friendly probing).
+// per batch -- here Q (awaited closing edge -> subscriber list head) --
+// which are (a) insert/lookup only, and (b) discarded wholesale after each
+// batch. FlatHashMap is a linear-probing power-of-two table with
+// epoch-based O(1) Clear(), so per-batch reuse costs nothing. The paper
+// used GNU unordered_map; this is the production-quality equivalent (no
+// per-node allocation, cache-friendly probing).
 //
 // Keys are 64-bit integers (vertex ids, packed edge keys). No erase
 // support: none of the streaming tables delete entries.
+//
+// A slot is 16 bytes {key, value, epoch}. The two largest tables on the
+// count path hold their keys in 8 bytes instead and keep their own
+// arrays: the dedup live set (stream/dedup.h) and the batch index's
+// vertex -> dense id table (core/bulk_engine.h). The users that remain
+// need Clear() in O(1) or arbitrary 64-bit keys: Q, the samplers' and
+// baselines' tables, the dynamic counter's groups, the generators' seen
+// sets and graph::EdgeList's checks.
 
 #ifndef TRISTREAM_UTIL_FLAT_HASH_MAP_H_
 #define TRISTREAM_UTIL_FLAT_HASH_MAP_H_
@@ -35,6 +42,15 @@ struct U64Mixer {
     return x;
   }
 };
+
+/// Power-of-two slot count, at least 16, that holds `entries` below a 7/8
+/// load: the sizing rule of the 8-byte-slot tables that keep their own
+/// arrays (stream::DedupFilter, core::BatchIndex).
+inline std::size_t ProbeTableCapacity(std::size_t entries) {
+  std::size_t cap = 16;
+  while (cap * 7 < entries * 8) cap *= 2;
+  return cap;
+}
 
 /// Insert/lookup-only open-addressing map from uint64 keys to V.
 template <typename V>

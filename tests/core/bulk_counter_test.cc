@@ -158,6 +158,75 @@ TEST(BatchIndexTest, SelfLoopsAndRepeatsFollowEdgeIter) {
   EXPECT_EQ(index.Degree(index.IdOf(9)), 1u);
 }
 
+TEST(BatchIndexTest, SecondBuildForgetsTheFirstBatch) {
+  // The vertex table is reused across batches: a vertex seen only in an
+  // earlier batch must read as absent, including after a large batch is
+  // followed by a small one.
+  std::vector<Edge> first;
+  for (VertexId i = 0; i < 1000; ++i) first.emplace_back(i, 1000 + i % 37);
+  BatchIndex index;
+  index.Build(first);
+  ASSERT_NE(index.IdOf(999), BatchIndex::kAbsent);
+  const std::vector<Edge> second = {Edge(5000, 6000), Edge(3, 5000)};
+  index.Build(second);
+  EXPECT_EQ(index.IdOf(5000), 0u);
+  EXPECT_EQ(index.IdOf(6000), 1u);
+  EXPECT_EQ(index.IdOf(3), 2u);
+  EXPECT_EQ(index.Degree(index.IdOf(5000)), 2u);
+  EXPECT_EQ(index.Degree(index.IdOf(3)), 1u);
+  for (VertexId v = 0; v < 1037; ++v) {
+    if (v == 3) continue;
+    EXPECT_EQ(index.IdOf(v), BatchIndex::kAbsent) << "vertex " << v;
+  }
+}
+
+TEST(BatchIndexTest, VertexDisjointBatchGrowsTheTableMidBuild) {
+  // w disjoint edges touch 2w vertices, the most a batch can: the table,
+  // sized for w, grows during the pass and ends at BytesFor's bound. A
+  // second such batch over other vertices reuses the grown table.
+  constexpr std::size_t kW = 1000;
+  BatchIndex index;
+  for (VertexId base : {VertexId{0}, VertexId{100000}}) {
+    std::vector<Edge> batch;
+    for (VertexId i = 0; i < kW; ++i) {
+      batch.emplace_back(base + 2 * i, base + 2 * i + 1);
+    }
+    index.Build(batch);
+    EXPECT_EQ(index.MemoryBytes(), BatchIndex::BytesFor(kW));
+    for (VertexId i = 0; i < kW; ++i) {
+      for (const VertexId end : {0u, 1u}) {
+        const std::uint32_t id = index.IdOf(base + 2 * i + end);
+        ASSERT_EQ(id, 2 * i + end) << "base " << base << " edge " << i;
+        EXPECT_EQ(index.Degree(id), 1u);
+        EXPECT_EQ(index.EventB(id, 1), i);
+        EXPECT_EQ(index.position(i).id[end], id);
+        EXPECT_EQ(index.position(i).beta[end], 1u);
+      }
+    }
+    EXPECT_EQ(index.IdOf(base + 2 * kW), BatchIndex::kAbsent);
+  }
+  EXPECT_EQ(index.IdOf(0), BatchIndex::kAbsent);
+}
+
+TEST(BatchIndexTest, VertexZeroAndAllOnesGetIds) {
+  // Every u32 is a vertex id: serve frames can carry 0xffffffff, and 0
+  // must not read as an empty slot.
+  constexpr VertexId kTop = 0xffffffffu;
+  const std::vector<Edge> batch = {Edge(0, kTop), Edge(kTop, 5),
+                                   Edge(5, 0)};
+  BatchIndex index;
+  index.Build(batch);
+  EXPECT_EQ(index.IdOf(0), 0u);
+  EXPECT_EQ(index.IdOf(kTop), 1u);
+  EXPECT_EQ(index.IdOf(5), 2u);
+  EXPECT_EQ(index.IdOf(1), BatchIndex::kAbsent);
+  for (const VertexId v : {VertexId{0}, kTop, VertexId{5}}) {
+    EXPECT_EQ(index.Degree(index.IdOf(v)), 2u) << "vertex " << v;
+  }
+  EXPECT_EQ(index.EventB(index.IdOf(kTop), 2), 1u);
+  EXPECT_EQ(index.EventB(index.IdOf(0), 2), 2u);
+}
+
 // --------------------------------------------------- invariants per batch
 
 TriangleCounterOptions BulkOptions(std::uint64_t r, std::uint64_t seed,

@@ -2,6 +2,10 @@
 
 #include "stream/dedup.h"
 
+#include <cstdint>
+#include <unordered_map>
+#include <vector>
+
 #include "core/triangle_counter.h"
 #include "gen/erdos_renyi.h"
 #include "graph/csr.h"
@@ -121,6 +125,117 @@ TEST(DedupFilterTest, ProtectsCounterFromDirtyFeed) {
   }
   EXPECT_EQ(counter.edges_processed(), clean.size());
   EXPECT_NEAR(counter.EstimateTriangles(), tau, 0.2 * tau);
+}
+
+// The live set against an exact model: one seeded turnstile stream over a
+// few hundred vertices, fed to the filter and to an unordered_map of
+// key -> live side by side. The filter starts at 16 entries, so it doubles
+// many times while dead (swapped) slots sit in its probe chains.
+TEST(DedupFilterModelTest, TurnstileStreamMatchesLiveSetModel) {
+  constexpr VertexId kVertices = 300;
+  constexpr int kEvents = 200000;
+  DedupFilter filter(16);
+  std::unordered_map<std::uint64_t, bool> live;  // model: key -> live
+  std::vector<Edge> inserted;  // delete targets, so deletes often hit
+  std::uint64_t admitted = 0;
+  Rng rng(21);
+  for (int i = 0; i < kEvents; ++i) {
+    Edge e(static_cast<VertexId>(rng.UniformBelow(kVertices)),
+           static_cast<VertexId>(rng.UniformBelow(kVertices)));
+    const std::uint64_t kind = rng.UniformBelow(100);
+    if (kind < 2) e.v = e.u;              // self-loop
+    if (kind == 2) e.u = kInvalidVertex;  // invalid
+    const EdgeOp op = rng.UniformBelow(100) < 40 ? EdgeOp::kDelete
+                                                 : EdgeOp::kInsert;
+    if (op == EdgeOp::kDelete && kind >= 3 && !inserted.empty() &&
+        rng.CoinOneIn(2)) {
+      // Name a previously inserted edge, in either orientation.
+      const Edge& past = inserted[rng.UniformBelow(inserted.size())];
+      e = rng.CoinOneIn(2) ? past : Edge(past.v, past.u);
+    }
+    bool expect = false;
+    if (!e.self_loop() && e.valid()) {
+      const auto it = live.find(e.Key());
+      const bool was_live = it != live.end() && it->second;
+      expect = (op == EdgeOp::kInsert) != was_live;
+      if (expect) {
+        live[e.Key()] = !was_live;
+        ++admitted;
+        if (op == EdgeOp::kInsert) inserted.push_back(e);
+      }
+    }
+    ASSERT_EQ(filter.AdmitEvent(e, op), expect)
+        << "event " << i << " " << e << " " << EdgeOpName(op);
+    const auto it = live.find(e.Key());
+    const bool model_live = !e.self_loop() && e.valid() &&
+                            it != live.end() && it->second;
+    ASSERT_EQ(filter.IsLive(e), model_live) << "event " << i << " " << e;
+  }
+  EXPECT_EQ(filter.admitted(), admitted);
+  EXPECT_EQ(filter.offered(), static_cast<std::uint64_t>(kEvents));
+  // The stream exercised every path: many edges died, and many live.
+  std::size_t dead = 0;
+  for (const auto& [key, is_live] : live) dead += is_live ? 0 : 1;
+  EXPECT_GT(dead, 1000u);
+  EXPECT_GT(live.size() - dead, 1000u);
+}
+
+TEST(DedupFilterModelTest, DeletesOfUnseenEdgesAllocateNothing) {
+  // A delete of an edge the filter has never seen is dropped without
+  // taking a slot, however many arrive.
+  DedupFilter filter;
+  const std::size_t initial = filter.MemoryBytes();
+  for (VertexId i = 0; i < 100000; ++i) {
+    EXPECT_FALSE(filter.AdmitEvent(Edge(i, i + 1), EdgeOp::kDelete));
+  }
+  EXPECT_EQ(filter.MemoryBytes(), initial);
+  EXPECT_EQ(filter.admitted(), 0u);
+  EXPECT_EQ(filter.offered(), 100000u);
+  // The filter still admits normally afterwards.
+  EXPECT_TRUE(filter.Admit(Edge(1, 2)));
+  EXPECT_TRUE(filter.AdmitEvent(Edge(2, 1), EdgeOp::kDelete));
+  EXPECT_FALSE(filter.IsLive(Edge(1, 2)));
+}
+
+TEST(DedupFilterModelTest, ReinsertRevivesTheDeadSlotAfterGrowth) {
+  // A deleted edge keeps its slot, and the table's doublings re-place it
+  // where its live key probes: re-inserting it takes no new slot. Both
+  // filters end with the same 896 keys, 7/8 of 1024 slots, so one extra
+  // slot would double `churned`.
+  std::vector<Edge> early, late;
+  for (VertexId i = 0; i < 8; ++i) early.emplace_back(i, 5000 + i);
+  for (VertexId i = 0; i < 888; ++i) late.emplace_back(100 + i, 7000 + i);
+  DedupFilter churned(16), plain(16);
+  for (const Edge& e : early) ASSERT_TRUE(churned.Admit(e));
+  for (const Edge& e : early) {
+    ASSERT_TRUE(churned.AdmitEvent(e, EdgeOp::kDelete));
+  }
+  for (const Edge& e : late) ASSERT_TRUE(churned.Admit(e));  // grows 5x
+  for (const Edge& e : early) ASSERT_TRUE(churned.Admit(Edge(e.v, e.u)));
+  for (const Edge& e : early) plain.Admit(e);
+  for (const Edge& e : late) plain.Admit(e);
+  EXPECT_EQ(plain.MemoryBytes(), 1024 * sizeof(std::uint64_t));
+  EXPECT_EQ(churned.MemoryBytes(), plain.MemoryBytes());
+  for (const Edge& e : early) EXPECT_TRUE(churned.IsLive(e)) << e;
+}
+
+TEST(DedupFilterModelTest, VertexZeroAndTopIdsAreStored) {
+  // Key 0 would be a self-loop at vertex 0, which is never stored; edges
+  // at vertex 0 and at the largest valid id are ordinary keys.
+  DedupFilter filter(16);
+  const VertexId top = kInvalidVertex - 1;
+  EXPECT_FALSE(filter.IsLive(Edge(0, 0)));
+  EXPECT_FALSE(filter.Admit(Edge(0, 0)));
+  EXPECT_TRUE(filter.Admit(Edge(0, 1)));
+  EXPECT_TRUE(filter.Admit(Edge(top, 0)));
+  EXPECT_TRUE(filter.Admit(Edge(top - 1, top)));
+  EXPECT_FALSE(filter.IsLive(Edge(0, 0)));
+  EXPECT_TRUE(filter.IsLive(Edge(1, 0)));
+  EXPECT_TRUE(filter.AdmitEvent(Edge(0, top), EdgeOp::kDelete));
+  EXPECT_FALSE(filter.IsLive(Edge(0, top)));
+  EXPECT_TRUE(filter.IsLive(Edge(top, top - 1)));
+  EXPECT_TRUE(filter.Admit(Edge(0, top)));
+  EXPECT_EQ(filter.admitted(), 5u);
 }
 
 }  // namespace

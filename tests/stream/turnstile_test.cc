@@ -444,13 +444,19 @@ TEST(TurnstileFailureTest, BadOpByteIsCorruptData) {
   bytes[bytes.size() - 1] = 7;  // neither insert nor delete
   WriteRaw(path, bytes);
 
-  EXPECT_EQ(ReadBinaryEvents(path).status().code(), StatusCode::kCorruptData);
+  const Status read = ReadBinaryEvents(path).status();
+  EXPECT_EQ(read.code(), StatusCode::kCorruptData);
+  EXPECT_NE(read.message().find(path), std::string::npos) << read.ToString();
 
   auto mapped = MmapEdgeStream::Open(path);
   ASSERT_TRUE(mapped.ok());  // mmap validates ops lazily, on delivery
   const EdgeEventList drained = DrainEvents(**mapped, 64);
   EXPECT_LT(drained.size(), ev.size());
-  EXPECT_EQ((*mapped)->status().code(), StatusCode::kCorruptData);
+  const Status mapped_status = (*mapped)->status();
+  EXPECT_EQ(mapped_status.code(), StatusCode::kCorruptData);
+  // Both readers name the file.
+  EXPECT_NE(mapped_status.message().find(path), std::string::npos)
+      << mapped_status.ToString();
 }
 
 // --------------------------------- text parser rejection (regression set)

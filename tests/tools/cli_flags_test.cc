@@ -2,8 +2,9 @@
 // -- a typo ("--thread"), a removed flag or another command's flag --
 // with a diagnostic naming the flag and exit code 2, instead of running a
 // different job than the one asked for; 0|1 switches refuse any other
-// value the same way. Runs the real tristream_cli binary from this test's
-// build directory (build it too: `cmake --build build`).
+// value the same way. Also a few output contracts: inspect's failure
+// paths and count's memory line. Runs the real tristream_cli binary from
+// this test's build directory (build it too: `cmake --build build`).
 
 #include <sys/wait.h>
 #include <unistd.h>
@@ -33,11 +34,20 @@ std::string CliPath() {
 
 struct CliRun {
   int exit_code = -1;
+  std::string stdout_text;
   std::string stderr_text;
 };
 
-/// Runs tristream_cli with `args`, stdout discarded, and waits for it.
+std::string ReadWhole(const std::string& path) {
+  std::ifstream in(path);
+  return std::string(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+}
+
+/// Runs tristream_cli with `args`, captures both streams, and waits for it.
 CliRun RunCli(const std::string& cli, std::vector<std::string> args) {
+  const std::string out_path =
+      std::string(::testing::TempDir()) + "/cli_flags_stdout";
   const std::string err_path =
       std::string(::testing::TempDir()) + "/cli_flags_stderr";
   args.insert(args.begin(), cli);
@@ -47,7 +57,7 @@ CliRun RunCli(const std::string& cli, std::vector<std::string> args) {
   CliRun run;
   const pid_t pid = ::fork();
   if (pid == 0) {
-    if (std::freopen("/dev/null", "w", stdout) == nullptr ||
+    if (std::freopen(out_path.c_str(), "w", stdout) == nullptr ||
         std::freopen(err_path.c_str(), "w", stderr) == nullptr) {
       _exit(127);
     }
@@ -57,9 +67,8 @@ CliRun RunCli(const std::string& cli, std::vector<std::string> args) {
   int status = 0;
   if (pid < 0 || ::waitpid(pid, &status, 0) != pid) return run;
   if (WIFEXITED(status)) run.exit_code = WEXITSTATUS(status);
-  std::ifstream in(err_path);
-  run.stderr_text.assign(std::istreambuf_iterator<char>(in),
-                         std::istreambuf_iterator<char>());
+  run.stdout_text = ReadWhole(out_path);
+  run.stderr_text = ReadWhole(err_path);
   return run;
 }
 
@@ -143,6 +152,49 @@ TEST_F(CliFlagsTest, FlagsTheCommandReadsAreAccepted) {
              "off", "--mmap", "0", "--median-of-means"});
   EXPECT_EQ(run.exit_code, 0) << run.stderr_text;
   EXPECT_EQ(RunCli(cli_, {"stats", "--input", input_}).exit_code, 0);
+}
+
+TEST_F(CliFlagsTest, InspectPrintsAnUnsupportedHeaderThenFails) {
+  // inspect prints the header as stored, then fails on the version with
+  // the shared decoder's message.
+  const std::string path =
+      std::string(::testing::TempDir()) + "/cli_flags_v3.tris";
+  std::string bytes = ReadWhole(input_);
+  ASSERT_GE(bytes.size(), stream::kTrisHeaderBytes);
+  bytes[4] = 3;  // version 3, little-endian
+  std::ofstream(path, std::ios::binary) << bytes;
+  const CliRun run = RunCli(cli_, {"inspect", path});
+  std::remove(path.c_str());
+  EXPECT_EQ(run.exit_code, 1) << run.stderr_text;
+  EXPECT_NE(run.stdout_text.find("version     : 3 (unknown)"),
+            std::string::npos)
+      << run.stdout_text;
+  EXPECT_NE(run.stdout_text.find("count       : 1500 edges"),
+            std::string::npos)
+      << run.stdout_text;
+  EXPECT_NE(run.stderr_text.find("CorruptData"), std::string::npos)
+      << run.stderr_text;
+  EXPECT_NE(run.stderr_text.find("unsupported version 3"), std::string::npos)
+      << run.stderr_text;
+  EXPECT_NE(run.stderr_text.find(path), std::string::npos) << run.stderr_text;
+
+  const CliRun good = RunCli(cli_, {"inspect", input_});
+  EXPECT_EQ(good.exit_code, 0) << good.stderr_text;
+  EXPECT_NE(good.stdout_text.find("version     : 1 (insert-only edges)"),
+            std::string::npos)
+      << good.stdout_text;
+}
+
+TEST_F(CliFlagsTest, CountPrintsItsFrontEndMemory) {
+  const CliRun run = RunCli(
+      cli_, {"count", "--input", input_, "--estimators", "256"});
+  EXPECT_EQ(run.exit_code, 0) << run.stderr_text;
+  const std::size_t line = run.stdout_text.find("\nmemory          : ");
+  ASSERT_NE(line, std::string::npos) << run.stdout_text;
+  const std::string text = run.stdout_text.substr(
+      line + 1, run.stdout_text.find('\n', line + 1) - line - 1);
+  EXPECT_NE(text.find(" MiB estimator, "), std::string::npos) << text;
+  EXPECT_NE(text.find(" MiB dedup filter"), std::string::npos) << text;
 }
 
 }  // namespace

@@ -471,7 +471,7 @@ int CmdInspect(const std::map<std::string, std::string>& flags) {
                  std::strerror(errno));
     return 1;
   }
-  unsigned char header[stream::kTrisHeaderBytes];
+  char header[stream::kTrisHeaderBytes];
   const std::size_t got = std::fread(header, 1, sizeof(header), f);
   if (got >= 4 && std::memcmp(header, stream::kTrisMagic, 4) == 0) {
     if (got < sizeof(header)) {
@@ -480,10 +480,11 @@ int CmdInspect(const std::map<std::string, std::string>& flags) {
                    path.c_str(), got, stream::kTrisHeaderBytes);
       return 1;
     }
-    std::uint32_t version = 0;
-    std::uint64_t count = 0;
-    std::memcpy(&version, header + 4, sizeof(version));
-    std::memcpy(&count, header + 8, sizeof(count));
+    stream::TrisHeader fields;
+    const auto parsed = stream::ParseTrisHeader(
+        header, "edge file '" + path + "'", &fields);
+    const std::uint32_t version = fields.version;
+    const std::uint64_t count = fields.count;
     std::fseek(f, 0, SEEK_END);
     const long file_bytes = std::ftell(f);
     std::fclose(f);
@@ -497,9 +498,8 @@ int CmdInspect(const std::map<std::string, std::string>& flags) {
                 static_cast<unsigned long long>(count),
                 version == stream::kTrisVersion2 ? "events" : "edges");
     std::printf("file bytes  : %ld\n", file_bytes);
-    if (version != stream::kTrisVersion &&
-        version != stream::kTrisVersion2) {
-      std::fprintf(stderr, "unsupported TRIS version %u\n", version);
+    if (!parsed.ok()) {
+      std::fprintf(stderr, "%s\n", parsed.status().ToString().c_str());
       return 1;
     }
     const std::uint64_t expect =
@@ -732,6 +732,23 @@ int CmdCount(const std::map<std::string, std::string>& flags) {
               static_cast<unsigned long long>(m.batches), m.batch_size);
   std::printf("io/compute time : %.3f s / %.3f s (%s ingest)\n",
               m.io_seconds, m.compute_seconds, source_info.reader_name());
+  // The front end's memory: the estimator (O(r + w) for tsb and bulk) and
+  // the dedup filter's live set (O(distinct edges)). Estimators that do
+  // not meter themselves report 0.
+  constexpr double kMiB = 1024.0 * 1024.0;
+  if (const std::size_t bytes = (*estimator)->approx_memory_bytes();
+      bytes > 0) {
+    std::printf("memory          : %.1f MiB estimator",
+                static_cast<double>(bytes) / kMiB);
+  } else {
+    std::printf("memory          : estimator not metered");
+  }
+  if (const auto* dedup =
+          dynamic_cast<const stream::DedupEdgeStream*>(source.get())) {
+    std::printf(", %.1f MiB dedup filter",
+                static_cast<double>(dedup->filter().MemoryBytes()) / kMiB);
+  }
+  std::printf("\n");
   if (m.checkpoints > 0) {
     std::printf("checkpoints     : %llu written (%.3f s)\n",
                 static_cast<unsigned long long>(m.checkpoints),
