@@ -18,6 +18,7 @@
 #ifndef TRISTREAM_BASELINE_BURIOL_H_
 #define TRISTREAM_BASELINE_BURIOL_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -83,6 +84,11 @@ class BuriolCounter {
 
   const std::vector<BuriolEstimator>& estimators() const {
     return estimators_;
+  }
+
+  /// Bytes held by the r estimators: O(r), independent of the stream.
+  std::size_t MemoryBytes() const {
+    return estimators_.capacity() * sizeof(BuriolEstimator);
   }
 
  private:

@@ -43,5 +43,14 @@ void ColorfulTriangleCounter::ProcessEdges(std::span<const Edge> edges) {
   for (const Edge& e : edges) ProcessEdge(e);
 }
 
+std::size_t ColorfulTriangleCounter::MemoryBytes() const {
+  std::size_t bytes = kept_edge_keys_.MemoryBytes() + adjacency_.MemoryBytes();
+  adjacency_.ForEach(
+      [&bytes](std::uint64_t, const std::vector<VertexId>& neighbors) {
+        bytes += neighbors.capacity() * sizeof(VertexId);
+      });
+  return bytes;
+}
+
 }  // namespace baseline
 }  // namespace tristream

@@ -12,6 +12,7 @@
 #ifndef TRISTREAM_BASELINE_COLORFUL_H_
 #define TRISTREAM_BASELINE_COLORFUL_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -54,6 +55,11 @@ class ColorfulTriangleCounter {
 
   /// The hash color of a vertex (exposed for tests).
   std::uint32_t ColorOf(VertexId v) const;
+
+  /// Bytes held by the kept edges and their adjacency lists. The kept
+  /// subgraph is an expected 1/C of the stream, so this grows with it.
+  /// Walks every adjacency list.
+  std::size_t MemoryBytes() const;
 
  private:
   Options options_;

@@ -27,6 +27,7 @@
 #ifndef TRISTREAM_BASELINE_JOWHARI_GHODSI_H_
 #define TRISTREAM_BASELINE_JOWHARI_GHODSI_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -103,6 +104,11 @@ class JowhariGhodsiCounter {
     return estimators_;
   }
 
+  /// Bytes held by the r estimators: O(r), independent of the stream.
+  std::size_t MemoryBytes() const {
+    return estimators_.capacity() * sizeof(JowhariGhodsiEstimator);
+  }
+
  private:
   Options options_;
   Rng rng_;
@@ -156,6 +162,14 @@ class FirstEdgeExhaustiveCounter {
   std::uint64_t edges_processed() const { return edges_processed_; }
   double EstimateTriangles() const;
   std::size_t NeighborhoodBytes() const;
+
+  /// Bytes held by the r estimators and their neighborhood sets. The sets
+  /// grow with the sampled edges' later degrees, so this grows with the
+  /// stream.
+  std::size_t MemoryBytes() const {
+    return estimators_.capacity() * sizeof(FirstEdgeExhaustiveEstimator) +
+           NeighborhoodBytes();
+  }
 
   const std::vector<FirstEdgeExhaustiveEstimator>& estimators() const {
     return estimators_;

@@ -13,12 +13,20 @@
 // β(r1)(x) < d <= deg_B(x)} is a contiguous slice of x's list.
 //
 // The vertex -> dense id table is the index's own linear-probing array of
-// 8-byte slots {u32 vertex, u32 id + 1}. Id + 1 == 0 marks an empty slot,
+// 8-byte slots {u32 vertex, u32 tag}. The tag folds in an epoch, base: a
+// slot is live iff tag > base, and then its vertex's id is tag - base - 1,
 // so every u32 is a valid vertex (serve frames can carry 0xffffffff).
-// Build() empties the table per batch by overwriting it. The table is
-// sized for w vertices, doubles mid-build when a batch touches more, and
-// never shrinks, so batches that each touch more than w vertices pay for
-// the growth once, not per batch.
+// Build() empties the table in O(1) by advancing base past the previous
+// batch's tags. It overwrites the table only when this batch's tags could
+// pass 2^32 - 1, which takes about 2^32 batch vertices. A probe stops at
+// the first slot that is not live, so an earlier batch's slot is as good
+// as empty. The table is sized for w vertices, doubles mid-build when a
+// batch touches more, and never shrinks, so batches that each touch more
+// than w vertices pay for the growth once, not per batch.
+//
+// The index's four arrays live on 2 MiB pages (util/huge_pages.h) once
+// they reach 2 MiB: at w = 2^20 they hold ~48 MiB, and every batch edge
+// probes the vertex table and bumps begin_ at random.
 //
 // This header is an implementation detail of core::TriangleCounter; it is
 // exposed (and unit-tested against the paper's Figure 2 worked example)
@@ -32,9 +40,9 @@
 #include <cstdint>
 #include <span>
 #include <utility>
-#include <vector>
 
 #include "util/flat_hash_map.h"
+#include "util/huge_pages.h"
 #include "util/logging.h"
 #include "util/types.h"
 
@@ -67,24 +75,25 @@ class BatchIndex {
     // table for w and let it grow past that. The cap bounds eager memory
     // for pathologically large batches.
     constexpr std::size_t kMaxEagerReserve = std::size_t{1} << 22;
-    ClearSlots(ProbeTableCapacity(std::min(w, kMaxEagerReserve)));
+    EmptySlots(ProbeTableCapacity(std::min(w, kMaxEagerReserve)), w);
     begin_.clear();
     begin_.reserve(std::min(2 * w, kMaxEagerReserve) + 1);
     positions_.resize(w);
     // begin_ counts each id's incidences during the pass (the EVENTB
     // degrees) and becomes the exclusive prefix sum after it.
-    auto id_of = [this](VertexId x) {
+    const std::uint32_t base = base_;
+    auto id_of = [this, base](VertexId x) {
       std::size_t idx = Probe(x);
-      if (slots_[idx].id_plus_one == 0) {
+      if (slots_[idx].tag <= base) {
         const std::size_t n = begin_.size();
         if ((n + 1) * 8 > (mask_ + 1) * 7) {
           Grow();
           idx = Probe(x);
         }
-        slots_[idx] = {x, static_cast<std::uint32_t>(n + 1)};
+        slots_[idx] = {x, static_cast<std::uint32_t>(base + n + 1)};
         begin_.push_back(0);
       }
-      return slots_[idx].id_plus_one - 1;
+      return slots_[idx].tag - base - 1;
     };
     // Two stages kLag edges apart hide the misses of production batch
     // sizes: the first resolves an edge's ids (their table slots were
@@ -136,7 +145,7 @@ class BatchIndex {
   /// Dense id of `x`, or kAbsent when no batch edge touches it.
   std::uint32_t IdOf(VertexId x) const {
     const Slot& slot = slots_[Probe(x)];
-    return slot.id_plus_one != 0 ? slot.id_plus_one - 1 : kAbsent;
+    return slot.tag > base_ ? slot.tag - base_ - 1 : kAbsent;
   }
 
   /// deg_B of the vertex with dense id `id` (0 for kAbsent).
@@ -165,51 +174,69 @@ class BatchIndex {
            (begin_.capacity() + incident_.capacity()) * sizeof(std::uint32_t);
   }
 
+  /// Test-only: empties the table and restarts the tag epoch at `base`, so
+  /// the wrap path of Build() runs without 2^32 / 2w real batches.
+  void SetBaseForTesting(std::uint32_t base) {
+    std::fill(slots_.begin(), slots_.end(), Slot{});
+    begin_.clear();
+    base_ = base;
+  }
+
  private:
-  /// One vertex table entry; id_plus_one == 0 marks an empty slot.
+  /// One vertex table entry, live iff tag > base_ (so 0 is always empty).
   struct Slot {
     std::uint32_t vertex = 0;
-    std::uint32_t id_plus_one = 0;
+    std::uint32_t tag = 0;  // base_ + id + 1 while live
   };
 
   std::size_t Home(VertexId x) const { return U64Mixer()(x) & mask_; }
 
-  /// Index of the slot holding `x`, or of the empty slot where it would go.
+  /// Index of the live slot holding `x`, or of the first slot that is not
+  /// live, where it would go.
   std::size_t Probe(VertexId x) const {
     std::size_t idx = Home(x);
-    while (slots_[idx].id_plus_one != 0 && slots_[idx].vertex != x) {
+    while (slots_[idx].tag > base_ && slots_[idx].vertex != x) {
       idx = (idx + 1) & mask_;
     }
     return idx;
   }
 
-  /// Empties the table, first growing it to at least `capacity` slots.
-  /// The table never shrinks: a batch probes as wide a table as the
-  /// widest batch before it needed.
-  void ClearSlots(std::size_t capacity) {
+  /// Empties the table for a batch of `w` edges, first growing it to at
+  /// least `capacity` slots. Otherwise it retires the previous batch's
+  /// tags by advancing base_ past them, and overwrites the table only when
+  /// this batch's tags, up to base_ + 2w, could pass 2^32 - 1. The table
+  /// never shrinks: a batch probes as wide a table as the widest batch
+  /// before it needed.
+  void EmptySlots(std::size_t capacity, std::size_t w) {
+    const std::size_t previous = begin_.empty() ? 0 : begin_.size() - 1;
     if (capacity > slots_.size()) {
       slots_.assign(capacity, Slot{});
-    } else {
+      base_ = 0;
+    } else if (base_ + previous + 2 * w + 1 > 0xffffffffu) {
       std::fill(slots_.begin(), slots_.end(), Slot{});
+      base_ = 0;
+    } else {
+      base_ += static_cast<std::uint32_t>(previous);
     }
     mask_ = slots_.size() - 1;
   }
 
-  /// Doubles the table mid-build and re-places its entries.
+  /// Doubles the table mid-build and re-places this batch's entries.
   void Grow() {
-    const std::vector<Slot> old = std::move(slots_);
+    const HugePageVector<Slot> old = std::move(slots_);
     slots_.assign(2 * old.size(), Slot{});
     mask_ = slots_.size() - 1;
     for (const Slot& slot : old) {
-      if (slot.id_plus_one != 0) slots_[Probe(slot.vertex)] = slot;
+      if (slot.tag > base_) slots_[Probe(slot.vertex)] = slot;
     }
   }
 
-  std::vector<Slot> slots_ = std::vector<Slot>(16);  // vertex -> id + 1
-  std::size_t mask_ = 15;                 // slots_.size() - 1
-  std::vector<Position> positions_;       // per batch position
-  std::vector<std::uint32_t> begin_;      // id -> first list slot; [n] = 2w
-  std::vector<std::uint32_t> incident_;   // incidence lists, stream order
+  HugePageVector<Slot> slots_ = HugePageVector<Slot>(16);  // vertex -> tag
+  std::size_t mask_ = 15;                   // slots_.size() - 1
+  std::uint32_t base_ = 0;                  // tags at or below it are dead
+  HugePageVector<Position> positions_;      // per batch position
+  HugePageVector<std::uint32_t> begin_;     // id -> first list slot; [n] = 2w
+  HugePageVector<std::uint32_t> incident_;  // incidence lists, stream order
 };
 
 }  // namespace core

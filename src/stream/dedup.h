@@ -26,6 +26,11 @@
 // empty slot. Every slot is hashed by its live form, on lookup and when
 // the table doubles. A delete of an edge the filter has never seen
 // inserts nothing.
+//
+// The slot array lives on 2 MiB pages (util/huge_pages.h) once it reaches
+// 2 MiB. Every admission probes it at random, and on 4 KiB pages the
+// presized 128 MiB table of a 9 M-edge file paid a page walk per probe and
+// 32,768 first-touch faults.
 
 #ifndef TRISTREAM_STREAM_DEDUP_H_
 #define TRISTREAM_STREAM_DEDUP_H_
@@ -34,9 +39,9 @@
 #include <cstddef>
 #include <cstdint>
 #include <utility>
-#include <vector>
 
 #include "util/flat_hash_map.h"
+#include "util/huge_pages.h"
 #include "util/types.h"
 
 namespace tristream {
@@ -126,7 +131,7 @@ class DedupFilter {
   /// Doubles the table, re-placing every slot (live or dead) by its live
   /// form.
   void Grow() {
-    const std::vector<std::uint64_t> old = std::move(slots_);
+    const HugePageVector<std::uint64_t> old = std::move(slots_);
     slots_.assign(2 * old.size(), kEmpty);
     mask_ = slots_.size() - 1;
     for (const std::uint64_t slot : old) {
@@ -137,7 +142,7 @@ class DedupFilter {
     }
   }
 
-  std::vector<std::uint64_t> slots_;  // live key, swapped dead key, or 0
+  HugePageVector<std::uint64_t> slots_;  // live key, swapped dead key, or 0
   std::size_t mask_;
   std::size_t used_ = 0;  // non-empty slots, live or dead
   std::uint64_t offered_ = 0;

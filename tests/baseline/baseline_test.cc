@@ -3,11 +3,13 @@
 // invariants plus an unbiasedness check against exact counts.
 
 #include <cmath>
+#include <string>
 
 #include "baseline/buriol.h"
 #include "baseline/colorful.h"
 #include "baseline/jowhari_ghodsi.h"
 #include "core/triangle_counter.h"
+#include "engine/estimators.h"
 #include "gen/erdos_renyi.h"
 #include "graph/csr.h"
 #include "graph/exact.h"
@@ -305,6 +307,35 @@ TEST(ColorfulTest, SingleColorIsExactCounting) {
   counter.ProcessEdges(stream.edges());
   EXPECT_EQ(counter.SubgraphTriangles(), tau);
   EXPECT_DOUBLE_EQ(counter.EstimateTriangles(), static_cast<double>(tau));
+}
+
+// ------------------------------------------------------------- metering
+
+TEST(BaselineMemoryTest, EveryBaselineMetersItsState) {
+  // serve charges a session its estimator's approx_memory_bytes(), and
+  // count prints it. Buriol's and JG's state is their r estimators, fixed
+  // from the start; colorful's kept subgraph and first-edge's neighborhood
+  // sets grow with the stream.
+  const auto stream = gen::GnmRandom(100, 600, 33);
+  engine::EstimatorConfig config;
+  config.num_estimators = 64;
+  config.seed = 34;
+  config.num_vertices = 100;
+  config.max_degree_bound = 100;
+  for (const char* algo : {"buriol", "jg", "colorful", "first-edge"}) {
+    auto made = engine::MakeEstimator(algo, config);
+    ASSERT_TRUE(made.ok()) << made.status();
+    const std::size_t fresh = (*made)->approx_memory_bytes();
+    (*made)->ProcessEdges(stream.edges());
+    const std::size_t after = (*made)->approx_memory_bytes();
+    EXPECT_GT(after, 0u) << algo;
+    if (std::string(algo) == "buriol" || std::string(algo) == "jg") {
+      EXPECT_EQ(after, fresh) << algo;
+      EXPECT_GE(after, 64 * sizeof(StreamEdge)) << algo;
+    } else {
+      EXPECT_GT(after, fresh) << algo;
+    }
+  }
 }
 
 }  // namespace

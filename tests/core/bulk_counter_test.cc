@@ -21,6 +21,7 @@
 #include "gtest/gtest.h"
 #include "stream/edge_stream.h"
 #include "tests/core/core_test_util.h"
+#include "util/flat_hash_map.h"
 #include "util/simd.h"
 #include "util/types.h"
 
@@ -183,29 +184,108 @@ TEST(BatchIndexTest, SecondBuildForgetsTheFirstBatch) {
 TEST(BatchIndexTest, VertexDisjointBatchGrowsTheTableMidBuild) {
   // w disjoint edges touch 2w vertices, the most a batch can: the table,
   // sized for w, grows during the pass and ends at BytesFor's bound. A
-  // second such batch over other vertices reuses the grown table.
-  constexpr std::size_t kW = 1000;
-  BatchIndex index;
-  for (VertexId base : {VertexId{0}, VertexId{100000}}) {
-    std::vector<Edge> batch;
-    for (VertexId i = 0; i < kW; ++i) {
-      batch.emplace_back(base + 2 * i, base + 2 * i + 1);
-    }
-    index.Build(batch);
-    EXPECT_EQ(index.MemoryBytes(), BatchIndex::BytesFor(kW));
-    for (VertexId i = 0; i < kW; ++i) {
-      for (const VertexId end : {0u, 1u}) {
-        const std::uint32_t id = index.IdOf(base + 2 * i + end);
-        ASSERT_EQ(id, 2 * i + end) << "base " << base << " edge " << i;
-        EXPECT_EQ(index.Degree(id), 1u);
-        EXPECT_EQ(index.EventB(id, 1), i);
-        EXPECT_EQ(index.position(i).id[end], id);
-        EXPECT_EQ(index.position(i).beta[end], 1u);
+  // second such batch over other vertices reuses the grown table. At
+  // w = 10^5 the growth takes the table from 1 MiB on operator new to
+  // 2 MiB on its own huge-page mapping.
+  for (const std::size_t w : {std::size_t{1000}, std::size_t{100000}}) {
+    BatchIndex index;
+    for (VertexId base : {VertexId{0}, VertexId{1} << 20}) {
+      std::vector<Edge> batch;
+      for (VertexId i = 0; i < w; ++i) {
+        batch.emplace_back(base + 2 * i, base + 2 * i + 1);
       }
+      index.Build(batch);
+      EXPECT_EQ(index.MemoryBytes(), BatchIndex::BytesFor(w));
+      for (VertexId i = 0; i < w; ++i) {
+        for (const VertexId end : {0u, 1u}) {
+          const std::uint32_t id = index.IdOf(base + 2 * i + end);
+          ASSERT_EQ(id, 2 * i + end)
+              << "w " << w << " base " << base << " edge " << i;
+          ASSERT_EQ(index.Degree(id), 1u);
+          ASSERT_EQ(index.EventB(id, 1), i);
+          ASSERT_EQ(index.position(i).id[end], id);
+          ASSERT_EQ(index.position(i).beta[end], 1u);
+        }
+      }
+      EXPECT_EQ(index.IdOf(base + 2 * w), BatchIndex::kAbsent);
     }
-    EXPECT_EQ(index.IdOf(base + 2 * kW), BatchIndex::kAbsent);
+    EXPECT_EQ(index.IdOf(0), BatchIndex::kAbsent);
   }
-  EXPECT_EQ(index.IdOf(0), BatchIndex::kAbsent);
+}
+
+TEST(BatchIndexTest, StaleSlotInAProbeChainStaysDeadThroughGrowth) {
+  // An earlier batch's slots stay in the table, dead. Here vertex x's stale
+  // slot sits one step down the probe chain from the slot x takes in the
+  // next batch, and that batch doubles the table mid-build: re-placing the
+  // stale copy too would overwrite x's live entry. The vertices are picked
+  // by the table's hash at its first size, 16 slots.
+  const auto home = [](VertexId v) { return U64Mixer()(v) & 15; };
+  VertexId a = 1;
+  while (home(a) == 15) ++a;  // keeps home(a) + 1 from wrapping to slot 0
+  VertexId x = a + 1;
+  while (home(x) != home(a)) ++x;
+  // 13 fillers, one per home other than a's and the next one, so none of
+  // them probes onto x's stale slot before the table grows.
+  std::vector<VertexId> fillers;
+  std::vector<bool> taken(16, false);
+  taken[home(a)] = taken[home(a) + 1] = true;
+  for (VertexId v = 1000; fillers.size() < 13; ++v) {
+    if (!taken[home(v)]) {
+      taken[home(v)] = true;
+      fillers.push_back(v);
+    }
+  }
+  BatchIndex index;
+  index.Build(std::vector<Edge>{Edge(a, x)});  // a at home(a), x behind it
+  // x and the 13 fillers fill the 16 slots to 7/8; the 15th vertex grows
+  // the table. 9 edges keep the initial size at 16 slots.
+  std::vector<Edge> batch = {Edge(x, fillers[0])};
+  for (std::size_t k = 1; k < 13; k += 2) {
+    batch.emplace_back(fillers[k], fillers[k + 1]);
+  }
+  batch.emplace_back(5000, 5001);
+  batch.emplace_back(5002, x);
+  ASSERT_EQ(batch.size(), 9u);
+  index.Build(batch);
+  EXPECT_EQ(index.IdOf(x), 0u);
+  EXPECT_EQ(index.Degree(0), 2u);
+  EXPECT_EQ(index.EventB(0, 2), 8u);
+  EXPECT_EQ(index.position(8).id[1], 0u);
+  EXPECT_EQ(index.position(8).beta[1], 2u);
+  for (std::size_t k = 0; k < fillers.size(); ++k) {
+    EXPECT_EQ(index.IdOf(fillers[k]), k + 1) << "filler " << k;
+  }
+  EXPECT_EQ(index.IdOf(5002), 16u);
+  EXPECT_EQ(index.IdOf(a), BatchIndex::kAbsent);
+}
+
+TEST(BatchIndexTest, TagsWrapWithOneFullClear) {
+  // Slot tags are base + id + 1 in 32 bits. A batch whose 2w + 1 tags past
+  // base could pass 2^32 - 1 clears the table and restarts base at 0;
+  // short of that, base only advances.
+  const std::vector<Edge> triangle = {Edge(1, 2), Edge(2, 3), Edge(3, 1)};
+  // Six vertices, the 2w that three edges can touch.
+  const std::vector<Edge> spread = {Edge(4, 5), Edge(6, 7), Edge(8, 1)};
+  BatchIndex index;
+  index.SetBaseForTesting(0xffffffffu - 7);  // base + 2w + 1 == 2^32 - 1
+  index.Build(triangle);
+  for (VertexId v = 1; v <= 3; ++v) {
+    EXPECT_EQ(index.IdOf(v), v - 1);
+    EXPECT_EQ(index.Degree(v - 1), 2u);
+  }
+  index.Build(spread);  // base + 3 + 7 passes 2^32 - 1
+  const std::vector<VertexId> order = {4, 5, 6, 7, 8, 1};
+  for (std::uint32_t id = 0; id < order.size(); ++id) {
+    EXPECT_EQ(index.IdOf(order[id]), id) << "vertex " << order[id];
+    EXPECT_EQ(index.Degree(id), 1u);
+  }
+  EXPECT_EQ(index.IdOf(2), BatchIndex::kAbsent);
+  EXPECT_EQ(index.IdOf(3), BatchIndex::kAbsent);
+  index.Build(triangle);
+  for (VertexId v = 1; v <= 3; ++v) EXPECT_EQ(index.IdOf(v), v - 1);
+  for (const VertexId v : {4u, 5u, 6u, 7u, 8u}) {
+    EXPECT_EQ(index.IdOf(v), BatchIndex::kAbsent) << "vertex " << v;
+  }
 }
 
 TEST(BatchIndexTest, VertexZeroAndAllOnesGetIds) {

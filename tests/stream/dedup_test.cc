@@ -219,6 +219,28 @@ TEST(DedupFilterModelTest, ReinsertRevivesTheDeadSlotAfterGrowth) {
   for (const Edge& e : early) EXPECT_TRUE(churned.IsLive(e)) << e;
 }
 
+TEST(DedupFilterModelTest, TableCrossesTwoMiBByGrowth) {
+  // 2^17 distinct edges, every third one deleted again, double the table
+  // from 16 slots to 2 MiB, moving it off operator new onto its own
+  // huge-page mapping. Every live and dead slot survives the moves.
+  constexpr VertexId kEdges = VertexId{1} << 17;
+  const auto edge = [](VertexId i) { return Edge(i, i + kEdges); };
+  DedupFilter filter(16);
+  for (VertexId i = 0; i < kEdges; ++i) {
+    ASSERT_TRUE(filter.Admit(edge(i))) << i;
+    if (i % 3 == 0) {
+      ASSERT_TRUE(filter.AdmitEvent(edge(i), EdgeOp::kDelete));
+    }
+  }
+  EXPECT_EQ(filter.MemoryBytes(), std::size_t{2} << 20);
+  for (VertexId i = 0; i < kEdges; ++i) {
+    ASSERT_EQ(filter.IsLive(edge(i)), i % 3 != 0) << i;
+    // A live edge dedups; a deleted one revives in its old slot.
+    ASSERT_EQ(filter.Admit(Edge(i + kEdges, i)), i % 3 == 0) << i;
+  }
+  EXPECT_EQ(filter.MemoryBytes(), std::size_t{2} << 20);
+}
+
 TEST(DedupFilterModelTest, VertexZeroAndTopIdsAreStored) {
   // Key 0 would be a self-loop at vertex 0, which is never stored; edges
   // at vertex 0 and at the largest valid id are ordinary keys.

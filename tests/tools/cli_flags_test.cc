@@ -186,15 +186,33 @@ TEST_F(CliFlagsTest, InspectPrintsAnUnsupportedHeaderThenFails) {
 }
 
 TEST_F(CliFlagsTest, CountPrintsItsFrontEndMemory) {
-  const CliRun run = RunCli(
-      cli_, {"count", "--input", input_, "--estimators", "256"});
-  EXPECT_EQ(run.exit_code, 0) << run.stderr_text;
-  const std::size_t line = run.stdout_text.find("\nmemory          : ");
-  ASSERT_NE(line, std::string::npos) << run.stdout_text;
-  const std::string text = run.stdout_text.substr(
-      line + 1, run.stdout_text.find('\n', line + 1) - line - 1);
-  EXPECT_NE(text.find(" MiB estimator, "), std::string::npos) << text;
-  EXPECT_NE(text.find(" MiB dedup filter"), std::string::npos) << text;
+  // Every algorithm meters its estimator: at 4096 estimators each state
+  // shows as at least 0.1 MiB. The huge-pages clause is there whenever
+  // the kernel reports AnonHugePages, whatever its value.
+  const bool smaps_rollup =
+      std::ifstream("/proc/self/smaps_rollup").good();
+  for (const char* algo : {"tsb", "buriol", "colorful", "jg", "first-edge"}) {
+    const CliRun run = RunCli(
+        cli_, {"count", "--input", input_, "--algo", algo, "--estimators",
+               "4096", "--vertices", "200", "--max-degree", "200"});
+    EXPECT_EQ(run.exit_code, 0) << algo << ": " << run.stderr_text;
+    const std::size_t line = run.stdout_text.find("\nmemory          : ");
+    ASSERT_NE(line, std::string::npos) << algo << ": " << run.stdout_text;
+    const std::string text = run.stdout_text.substr(
+        line + 1, run.stdout_text.find('\n', line + 1) - line - 1);
+    double estimator_mib = 0.0;
+    EXPECT_EQ(std::sscanf(text.c_str(), "memory : %lf MiB estimator, ",
+                          &estimator_mib),
+              1)
+        << text;
+    EXPECT_GT(estimator_mib, 0.0) << text;
+    EXPECT_NE(text.find(" MiB estimator, "), std::string::npos) << text;
+    EXPECT_NE(text.find(" MiB dedup filter"), std::string::npos) << text;
+    EXPECT_EQ(text.find(" MiB dedup filter, ") != std::string::npos &&
+                  text.ends_with(" MiB on huge pages"),
+              smaps_rollup)
+        << text;
+  }
 }
 
 }  // namespace

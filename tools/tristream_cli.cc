@@ -52,6 +52,7 @@
 #include <cstring>
 #include <limits>
 #include <map>
+#include <optional>
 #include <set>
 #include <span>
 #include <string>
@@ -71,6 +72,7 @@
 #include "stream/edge_source.h"
 #include "stream/socket_stream.h"
 #include "stream/text_io.h"
+#include "util/huge_pages.h"
 #include "util/simd.h"
 #include "util/timer.h"
 
@@ -732,21 +734,22 @@ int CmdCount(const std::map<std::string, std::string>& flags) {
               static_cast<unsigned long long>(m.batches), m.batch_size);
   std::printf("io/compute time : %.3f s / %.3f s (%s ingest)\n",
               m.io_seconds, m.compute_seconds, source_info.reader_name());
-  // The front end's memory: the estimator (O(r + w) for tsb and bulk) and
-  // the dedup filter's live set (O(distinct edges)). Estimators that do
-  // not meter themselves report 0.
+  // The front end's memory: the estimator (O(r + w) for tsb and bulk;
+  // every algorithm meters itself) and the dedup filter's live set
+  // (O(distinct edges)), then how much of the process the kernel backs
+  // with huge pages (util/huge_pages.h), so a host without transparent
+  // huge pages shows why its tables gained nothing.
   constexpr double kMiB = 1024.0 * 1024.0;
-  if (const std::size_t bytes = (*estimator)->approx_memory_bytes();
-      bytes > 0) {
-    std::printf("memory          : %.1f MiB estimator",
-                static_cast<double>(bytes) / kMiB);
-  } else {
-    std::printf("memory          : estimator not metered");
-  }
+  std::printf("memory          : %.1f MiB estimator",
+              static_cast<double>((*estimator)->approx_memory_bytes()) /
+                  kMiB);
   if (const auto* dedup =
           dynamic_cast<const stream::DedupEdgeStream*>(source.get())) {
     std::printf(", %.1f MiB dedup filter",
                 static_cast<double>(dedup->filter().MemoryBytes()) / kMiB);
+  }
+  if (const std::optional<std::size_t> huge = AnonHugePageBytes()) {
+    std::printf(", %.1f MiB on huge pages", static_cast<double>(*huge) / kMiB);
   }
   std::printf("\n");
   if (m.checkpoints > 0) {
