@@ -42,13 +42,15 @@ std::size_t FilterBytes(int log2_bits) {
 }
 
 // The batch tables' sizing rules, shared by the batch pipeline and
-// MemoryBytes. The lane-sweep Bloom filter runs only on batches small
-// against r, with 128 bits per edge; Q starts at kInitialClosers entries
-// and holds one entry and ~8 filter bits per candidate lane, capped for
-// pathological r.
+// MemoryBytes. On batches small against r the batch's vertices filter the
+// lane sweep, with 128 bits per edge; on the others the lanes' r1
+// endpoints filter the batch index, with ~8 bits per endpoint. Q starts at
+// kInitialClosers entries and holds one entry and ~8 filter bits per
+// candidate lane, capped for pathological r.
 constexpr std::size_t kInitialClosers = 1024;
 bool UseBloomFilter(std::uint64_t w, std::uint64_t r) { return w * 8 <= r; }
 int BloomLog2Bits(std::uint64_t w) { return FilterLog2Bits(128 * w); }
+int LaneFilterLog2Bits(std::uint64_t r) { return FilterLog2Bits(16 * r); }
 std::size_t CloserEntries(std::uint64_t candidates) {
   return std::min<std::size_t>(candidates, std::size_t{1} << 22);
 }
@@ -139,6 +141,7 @@ TriangleCounter::TriangleCounter(const TriangleCounterOptions& options)
       r1_pos_(options.num_estimators, kInvalidEdgeIndex),
       c_(options.num_estimators, 0),
       r1_uv_(options.num_estimators, 0),
+      index_(batch_size_),
       closer_chain_(options.num_estimators),
       draw2_(options.num_estimators, 0),
       replacers_(options.num_estimators, 0),
@@ -166,7 +169,7 @@ TriangleCounter::TriangleCounter(const TriangleCounterOptions& options)
   }
   if (workers == 0) return;
   absorbing_.reserve(reserve);
-  tables_built_ = std::make_unique<std::barrier<>>(workers);
+  batch_barrier_ = std::make_unique<std::barrier<>>(workers);
   ThreadPoolOptions pool_options;
   if (options.pin_threads) pool_options.pin_cpus = AffinityPinPlan(workers);
   pool_ = std::make_unique<ThreadPool>(workers, pool_options);
@@ -230,18 +233,23 @@ void TriangleCounter::SubmitPending() {
 void TriangleCounter::StartBatch(std::span<const Edge> batch) {
   const std::uint64_t w = batch.size();
   const std::uint64_t r = cold_.size();
-  // The lane-sweep filter gets 64 bits per inserted vertex (at most 2w): a
-  // false positive sends a lane through two index probes, so at r >> w
-  // lanes even a few percent would dominate the batch. For batches large
-  // relative to r nearly every lane has an in-batch endpoint anyway, and
-  // the filter outgrows cache, so run filterless -- the kernel then marks
-  // every lane a candidate. The cutoff is a pure function of (w, r), never
-  // of the ISA or the lane ranges, so dispatch stays bit-identical.
+  // Lanes and batch meet only where a lane's r1 endpoint is a batch
+  // vertex, so the smaller side filters the larger one. On batches small
+  // against r the lane-sweep filter gets 64 bits per inserted vertex (at
+  // most 2w): a false positive sends a lane through two index probes, so
+  // at r >> w lanes even a few percent would dominate the batch. On the
+  // others nearly every lane has an in-batch endpoint, so the sweep runs
+  // filterless (every lane a candidate) and the lanes' r1 endpoints filter
+  // the index instead: it then holds only the incidences lanes can read.
+  // Neither filter has false negatives, and the cutoff is a pure function
+  // of (w, r), never of the ISA or the lane ranges, so dispatch stays
+  // bit-identical.
   job_.edges = batch;
   job_.m_before = applied_edges_;
   job_.batch_no = batch_no_;
-  job_.use_filter = UseBloomFilter(w, r);
-  job_.log2_bits = job_.use_filter ? BloomLog2Bits(w) : 6;
+  job_.filter_lanes = UseBloomFilter(w, r);
+  job_.log2_bits =
+      job_.filter_lanes ? BloomLog2Bits(w) : LaneFilterLog2Bits(r);
   applied_edges_ += w;
   ++batch_no_;
   if (pool_ == nullptr) {
@@ -260,61 +268,105 @@ void TriangleCounter::WaitForInFlight() {
 }
 
 void TriangleCounter::RunBatch(std::size_t slot) {
-  if (slot == 0) BuildBatchTables();
-  if (ranges_.size() > 1) tables_built_->arrive_and_wait();
-  AbsorbLanes(ranges_[slot]);
+  LaneRange& range = ranges_[slot];
+  if (job_.filter_lanes) {
+    // The sweep probes the batch's Bloom filter, so the tables come first.
+    if (slot == 0) BuildBatchTables();
+    AwaitWorkers();
+    SweepLanes(range);
+  } else {
+    // The index is filtered by every lane's r1 after this batch's
+    // replacements, so every sweep comes first.
+    SweepLanes(range);
+    AwaitWorkers();
+    if (slot == 0) BuildBatchTables();
+    AwaitWorkers();
+  }
+  ResolveLanes(range);
+}
+
+void TriangleCounter::AwaitWorkers() {
+  if (ranges_.size() > 1) batch_barrier_->arrive_and_wait();
 }
 
 void TriangleCounter::BuildBatchTables() {
-  if (job_.use_filter) {
-    bloom_.assign(std::size_t{1} << (job_.log2_bits - 6), 0);
+  const int log2_bits = job_.log2_bits;
+  bloom_.assign(std::size_t{1} << (log2_bits - 6), 0);
+  const auto insert = [this, log2_bits](VertexId x) {
+    const std::uint64_t bit = kernels::BloomBitIndex(x, log2_bits);
+    bloom_[bit >> 6] |= std::uint64_t{1} << (bit & 63);
+  };
+  // Algorithm 2, once: every kept incidence's β snapshot and every kept
+  // vertex's EVENTB positions (core/bulk_engine.h).
+  if (job_.filter_lanes) {
     for (const Edge& e : job_.edges) {
-      const std::uint64_t bit_u = kernels::BloomBitIndex(e.u, job_.log2_bits);
-      const std::uint64_t bit_v = kernels::BloomBitIndex(e.v, job_.log2_bits);
-      bloom_[bit_u >> 6] |= std::uint64_t{1} << (bit_u & 63);
-      bloom_[bit_v >> 6] |= std::uint64_t{1} << (bit_v & 63);
+      insert(e.u);
+      insert(e.v);
     }
+    index_.Build(job_.edges, BatchIndex::kKeepAll);
+  } else {
+    // Lanes read the index only at their r1 endpoints (Observation 3.6),
+    // so the filter takes every lane's r1 after this batch: a replacer's
+    // chosen batch edge, which Step 1 installs, or the r1 it holds.
+    for (const LaneRange& range : ranges_) {
+      const std::uint32_t first = range.first;
+      std::size_t kr = 0;
+      for (std::uint32_t i = first; i < range.end; ++i) {
+        std::uint64_t uv = r1_uv_[i];
+        if (kr < range.swept.replacers && first + replacers_[first + kr] == i) {
+          const Edge& e = job_.edges[replace_batch_idx_[first + kr++]];
+          uv = PackUv(e.u, e.v);
+        }
+        insert(UvLo(uv));
+        insert(UvHi(uv));
+      }
+    }
+    index_.Build(job_.edges, {bloom_.data(), log2_bits});
   }
-  // Algorithm 2, once: every edge's β snapshot and every vertex's EVENTB
-  // positions (core/bulk_engine.h).
-  index_.Build(job_.edges);
 }
 
-void TriangleCounter::AbsorbLanes(LaneRange& range) {
+void TriangleCounter::SweepLanes(LaneRange& range) {
+  // ---------------------------------------------------------------------
+  // Step 0 -- fused lane sweep (SIMD kernel). Every estimator draws its
+  // Threefry block for this batch: word 0 decides the level-1 replacement
+  // (keep with probability m/(m+w), Sec. 3.3's reservoir step) and picks
+  // the replacement batch edge in the same draw; word 1 feeds the Step-2b
+  // candidate draw. On batches small against r the same pass probes a
+  // Bloom filter of the batch's vertices with each lane's r1 endpoints: a
+  // lane only has level-2 work when one of its endpoints gained in-batch
+  // neighbors. No false negatives -- a filtered lane's endpoints are
+  // absent from the batch, and replacing lanes are candidates
+  // unconditionally. Lanes are independent streams keyed (seed, global
+  // lane), so every ISA and every lane range produces the same bits.
+  // ---------------------------------------------------------------------
+  const std::uint32_t first = range.first;
+  range.swept = kernels_->lane_sweep(
+      {.seed = options_.seed, .batch_no = job_.batch_no,
+       .m_before = job_.m_before, .w = job_.edges.size(),
+       .lanes = range.end - first, .lane_base = first,
+       .bloom = job_.filter_lanes ? bloom_.data() : nullptr,
+       .log2_bits = job_.log2_bits, .r1_uv = r1_uv_.data() + first,
+       .replacers = replacers_.data() + first,
+       .batch_idx = replace_batch_idx_.data() + first,
+       .candidates = candidates_.data() + first,
+       .draw2 = draw2_.data() + first});
+}
+
+void TriangleCounter::ResolveLanes(LaneRange& range) {
   const std::span<const Edge> batch = job_.edges;
   const std::uint64_t m_before = job_.m_before;
   const std::uint64_t w = batch.size();
   // The range's slices of the lane-sized scratch arrays. Lists hold
   // range-local lane indices; `first + i` is the global lane.
   const std::uint32_t first = range.first;
-  std::uint32_t* const replacers = replacers_.data() + first;
-  std::uint32_t* const replace_batch_idx = replace_batch_idx_.data() + first;
-  std::uint32_t* const candidates = candidates_.data() + first;
-  std::uint64_t* const draw2 = draw2_.data() + first;
+  const std::uint32_t* const replacers = replacers_.data() + first;
+  const std::uint32_t* const replace_batch_idx =
+      replace_batch_idx_.data() + first;
+  const std::uint32_t* const candidates = candidates_.data() + first;
+  const std::uint64_t* const draw2 = draw2_.data() + first;
   CloserLink* const closer_chain = closer_chain_.data() + first;
-
-  // ---------------------------------------------------------------------
-  // Step 0 -- fused lane sweep (SIMD kernel). Every estimator draws its
-  // Threefry block for this batch: word 0 decides the level-1 replacement
-  // (keep with probability m/(m+w), Sec. 3.3's reservoir step) and picks
-  // the replacement batch edge in the same draw; word 1 feeds the Step-2b
-  // candidate draw. The same pass probes a Bloom filter of the batch's
-  // vertices with each lane's r1 endpoints: a lane only has level-2 work
-  // when one of its endpoints gained in-batch neighbors. No false
-  // negatives -- a filtered lane's endpoints are absent from the batch,
-  // and replacing lanes are candidates unconditionally. Lanes are
-  // independent streams keyed (seed, global lane), so every ISA and every
-  // lane range produces the same bits.
-  // ---------------------------------------------------------------------
-  const kernels::SweepCounts counts = kernels_->lane_sweep(
-      {.seed = options_.seed, .batch_no = job_.batch_no, .m_before = m_before,
-       .w = w, .lanes = range.end - first, .lane_base = first,
-       .bloom = job_.use_filter ? bloom_.data() : nullptr,
-       .log2_bits = job_.log2_bits, .r1_uv = r1_uv_.data() + first,
-       .replacers = replacers, .batch_idx = replace_batch_idx,
-       .candidates = candidates, .draw2 = draw2});
-  const std::size_t num_replacers = counts.replacers;
-  const std::size_t num_candidates = counts.candidates;
+  const std::size_t num_replacers = range.swept.replacers;
+  const std::size_t num_candidates = range.swept.candidates;
 
   // ---------------------------------------------------------------------
   // Steps 1, 2a, 2b -- one pass over the candidate lanes. A replacing lane
@@ -326,14 +378,23 @@ void TriangleCounter::AbsorbLanes(LaneRange& range) {
   // Each candidate subscribes at most once, so Q and its key filter are
   // sized by the candidate count; with few candidates they stay in cache.
   // The filter (~8 bits per candidate) lets the closer pass skip the Q
-  // probe for the batch edges that close nothing, nearly all of them.
+  // probe for the batch edges that close nothing, nearly all of them. A
+  // key sets two bits of one word: the hash's top bits pick the word, the
+  // 12 bits below them the two bits, so a probe still loads one word.
   FlatHashMap<std::uint32_t>& closers = range.closers;
   std::vector<std::uint64_t>& closer_filter = range.closer_filter;
   closers.Reset(CloserEntries(num_candidates));
-  const int closer_log2_bits = CloserLog2Bits(num_candidates);
-  closer_filter.assign(std::size_t{1} << (closer_log2_bits - 6), 0);
-  const auto closer_bit = [&](std::uint64_t key) {
-    return (key * kernels::kBloomHashMul) >> (64 - closer_log2_bits);
+  const int closer_shift = 64 - (CloserLog2Bits(num_candidates) - 6);
+  closer_filter.assign(std::size_t{1} << (64 - closer_shift), 0);
+  struct CloserBits {
+    std::size_t word;
+    std::uint64_t mask;
+  };
+  const auto closer_bits = [closer_shift](std::uint64_t key) {
+    const std::uint64_t h = key * kernels::kBloomHashMul;
+    return CloserBits{h >> closer_shift,
+                      std::uint64_t{1} << (h >> (closer_shift - 6) & 63) |
+                          std::uint64_t{1} << (h >> (closer_shift - 12) & 63)};
   };
 
   // Open wedges subscribe their closing edge in Q, chained by candidate-
@@ -345,8 +406,8 @@ void TriangleCounter::AbsorbLanes(LaneRange& range) {
     const std::uint64_t uv = r1_uv_[est_idx];
     const Edge r1(UvLo(uv), UvHi(uv));
     const std::uint64_t key = ClosingEdge(r1, cold_[est_idx].r2).Key();
-    const std::uint64_t bit = closer_bit(key);
-    closer_filter[bit >> 6] |= std::uint64_t{1} << (bit & 63);
+    const CloserBits bits = closer_bits(key);
+    closer_filter[bits.word] |= bits.mask;
     std::uint32_t& head = closers[key];
     closer_chain[k] = {head == 0 ? kNil : head - 1, from};
     head = k + 1;
@@ -369,6 +430,14 @@ void TriangleCounter::AbsorbLanes(LaneRange& range) {
     std::uint64_t uv;
     BatchIndex::Position ends = {{0, 0}, {0, 0}};  // r1's endpoint ids, β
     if (kr < num_replacers && first + replacers[kr] == i) {
+      // Replacers read the index at random positions: hint the lines of
+      // the ones 16 and 8 replacers ahead (bulk_engine.h).
+      if (kr + 16 < num_replacers) {
+        index_.PrefetchLocator(replace_batch_idx[kr + 16]);
+      }
+      if (kr + 8 < num_replacers) {
+        index_.PrefetchEntries(replace_batch_idx[kr + 8]);
+      }
       const std::uint32_t pos = replace_batch_idx[kr++];
       uv = PackUv(batch[pos].u, batch[pos].v);
       r1_uv_[i] = uv;
@@ -427,8 +496,8 @@ void TriangleCounter::AbsorbLanes(LaneRange& range) {
   if (!closers.empty()) {
     for (std::size_t j = 0; j < w; ++j) {
       const std::uint64_t key = batch[j].Key();
-      const std::uint64_t bit = closer_bit(key);
-      if ((closer_filter[bit >> 6] >> (bit & 63) & 1) == 0) continue;
+      const CloserBits bits = closer_bits(key);
+      if ((closer_filter[bits.word] & bits.mask) != bits.mask) continue;
       const std::uint32_t* head = closers.Find(key);
       if (head == nullptr) continue;
       for (std::uint32_t k = *head - 1; k != kNil;
@@ -603,8 +672,13 @@ std::size_t TriangleCounter::MemoryBytes() const {
       sizeof(ColdState) + sizeof(EdgeIndex) + 3 * sizeof(std::uint64_t) +
       sizeof(CloserLink) + 3 * sizeof(std::uint32_t);
   const std::size_t buffers = pool_ != nullptr ? 2 : 1;
-  std::size_t bytes =
-      r * per_lane + buffers * w * sizeof(Edge) + BatchIndex::BytesFor(w);
+  // The filter on either side of the lane/batch join. At w > r/8 a
+  // stream's short last batch may take the other side, within the same
+  // bound (its Bloom filter is at most the lane filter's size).
+  std::size_t bytes = r * per_lane + buffers * w * sizeof(Edge) +
+                      BatchIndex::BytesFor(w) +
+                      FilterBytes(UseBloomFilter(w, r) ? BloomLog2Bits(w)
+                                                       : LaneFilterLog2Bits(r));
   // Each range's Q holds an entry and ~8 filter bits per candidate lane.
   for (const LaneRange& range : ranges_) {
     const std::uint64_t lanes = range.end - range.first;
@@ -612,7 +686,6 @@ std::size_t TriangleCounter::MemoryBytes() const {
                  std::max(kInitialClosers, CloserEntries(lanes))) +
              FilterBytes(CloserLog2Bits(lanes));
   }
-  if (UseBloomFilter(w, r)) bytes += FilterBytes(BloomLog2Bits(w));
   return bytes;
 }
 

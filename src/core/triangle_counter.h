@@ -13,6 +13,11 @@
 //     resampling, the level-2 candidate draw) run as SIMD lane sweeps over
 //     counter-based RNG streams (src/core/README.md documents the pipeline
 //     and the determinism contract), on the caller or on worker threads.
+//     Estimators meet a batch only at their r1 endpoints, so one Bloom
+//     filter trims the larger side of that join: at w <= r/8 the batch's
+//     vertices filter the lane sweep, at w > r/8 (every default w = 8r)
+//     the lanes' r1 endpoints filter the index, which then holds only the
+//     incidences some lane can read. Neither filter moves an estimate.
 //
 // Both expose unbiased estimates of the triangle count τ (Lemma 3.2), the
 // wedge count ζ (Lemma 3.10), and the transitivity coefficient κ = 3τ/ζ
@@ -40,10 +45,6 @@
 
 namespace tristream {
 namespace core {
-
-namespace kernels {
-struct KernelTable;
-}  // namespace kernels
 
 /// How per-estimator values are combined into one estimate.
 enum class Aggregation {
@@ -155,13 +156,17 @@ class NaiveTriangleCounter {
 ///
 /// With num_threads = T >= 1 the counter owns a T-worker pool and two
 /// batch buffers: the caller fills one while the workers absorb the other.
-/// Each batch is one pool generation. Worker 0 builds the Bloom filter and
-/// the batch index; after a barrier, worker k runs the lane sweep, Steps
-/// 1/2a/2b and the closer pass for the k-th of T contiguous lane ranges,
-/// compacting into its own slice of the lane-sized scratch arrays with its
-/// own Q table. The caller reads estimates after waiting for the pool.
-/// Estimator state is touched only by the workers while a batch is in
-/// flight and only by the caller otherwise, so none of it is locked.
+/// Each batch is one pool generation, and worker k owns the k-th of T
+/// contiguous lane ranges. At w <= r/8 worker 0 builds the batch's Bloom
+/// filter and the batch index, and after a barrier worker k runs the lane
+/// sweep, Steps 1/2a/2b and the closer pass over its range. At w > r/8
+/// worker k sweeps its range first; after a barrier worker 0 builds the
+/// lane filter and the filtered index, and after a second one worker k
+/// runs Steps 1/2a/2b and the closer pass. Each worker compacts into its
+/// own slice of the lane-sized scratch arrays with its own Q table. The
+/// caller reads estimates after waiting for the pool. Estimator state is
+/// touched only by the workers while a batch is in flight and only by the
+/// caller otherwise, so none of it is locked.
 class TriangleCounter {
  public:
   explicit TriangleCounter(const TriangleCounterOptions& options);
@@ -264,7 +269,8 @@ class TriangleCounter {
 
   /// Steady-state footprint in bytes: the estimator arrays plus every
   /// batch table at the size a batch of w edges that touches 2w vertices
-  /// gives it when every lane is a candidate, and the batch buffers. A
+  /// gives it when every lane is a candidate and (at w > r/8) the lane
+  /// filter passes every vertex, and the batch buffers. A
   /// function of (r, w, num_threads) alone, so it holds from construction
   /// on, before any batch table exists; flat in num_threads.
   std::size_t MemoryBytes() const;
@@ -293,6 +299,7 @@ class TriangleCounter {
   struct LaneRange {
     std::uint32_t first = 0;
     std::uint32_t end = 0;
+    kernels::SweepCounts swept{};              // this batch's list lengths
     FlatHashMap<std::uint32_t> closers;        // Q: edge key -> chain head
     std::vector<std::uint64_t> closer_filter;  // Q key filter bits
   };
@@ -303,8 +310,9 @@ class TriangleCounter {
     std::span<const Edge> edges;
     std::uint64_t m_before = 0;  // edges applied before this batch
     std::uint64_t batch_no = 0;  // its Threefry counter word
-    bool use_filter = false;     // lane sweep probes the Bloom filter
-    int log2_bits = 6;           // Bloom filter size
+    bool filter_lanes = false;   // the batch's vertices filter the sweep;
+                                 //   else the lanes filter the index
+    int log2_bits = 6;           // that filter's size
   };
 
   /// Absorbs the filled pending buffer as one batch.
@@ -313,10 +321,15 @@ class TriangleCounter {
   void StartBatch(std::span<const Edge> batch);
   /// Worker `slot`'s part of the current batch.
   void RunBatch(std::size_t slot);
-  /// The shared per-batch tables: Bloom filter and batch index.
+  /// With workers: waits until every worker has arrived.
+  void AwaitWorkers();
+  /// The shared per-batch tables: the filter on one side of the lane/batch
+  /// join and the batch index.
   void BuildBatchTables();
-  /// Lane sweep, Steps 1/2a/2b and the closer pass over one lane range.
-  void AbsorbLanes(LaneRange& range);
+  /// The lane sweep over one lane range.
+  void SweepLanes(LaneRange& range);
+  /// Steps 1/2a/2b and the closer pass over one swept lane range.
+  void ResolveLanes(LaneRange& range);
   /// Blocks until no batch is in flight on the pool.
   void WaitForInFlight();
 
@@ -340,7 +353,7 @@ class TriangleCounter {
   // entries [first, end) of each.
   BatchJob job_;
   BatchIndex index_;                      // Algorithm 2's events over B
-  std::vector<std::uint64_t> bloom_;      // batch-vertex Bloom bits
+  std::vector<std::uint64_t> bloom_;      // the batch-vertex or lane filter
   std::vector<LaneRange> ranges_;
   std::vector<CloserLink> closer_chain_;  // Q chain storage (per candidate)
   std::vector<std::uint64_t> draw2_;      // per-lane Step-2b draw word
@@ -352,9 +365,9 @@ class TriangleCounter {
   bool in_flight_ = false;       // a batch is dispatched and not waited for
   bool view_in_flight_ = false;  // ... and it is a caller's view
   bool all_pinned_ = false;
-  /// Worker 0 arrives once the batch tables are built; every worker waits
-  /// for them before probing.
-  std::unique_ptr<std::barrier<>> tables_built_;
+  /// Separates a batch's phases: the tables from the sweeps that read or
+  /// feed them, and at w > r/8 the build from the steps that probe it.
+  std::unique_ptr<std::barrier<>> batch_barrier_;
   /// Declared last: destroyed first, draining an in-flight batch while
   /// everything it touches is still alive.
   std::unique_ptr<ThreadPool> pool_;

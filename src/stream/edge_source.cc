@@ -69,6 +69,10 @@ bool DedupEdgeStream::FilterOneEventBatch(std::size_t max_edges,
       inner_->NextEventBatchView(max_edges, &event_scratch_);
   if (raw.empty()) return false;
   const bool carry_ops = !raw.all_inserts();
+  // Room for every event up front: grown by push_back from empty, a buffer
+  // would leave each outgrown copy with the allocator for the whole run.
+  out->edges.reserve(out->edges.size() + raw.size());
+  if (carry_ops) out->ops.reserve(out->ops.size() + raw.size());
   for (std::size_t i = 0; i < raw.size(); ++i) {
     const EdgeOp op = raw.op(i);
     if (filter_.AdmitEvent(raw.edges[i], op)) {

@@ -1,7 +1,8 @@
 // Tests for the bulk-processing engine (Sec. 3.3 / Theorem 3.5):
 //   * the batch index against the paper's Figure 2 worked example (deg
-//     tables, β values, EVENTB positions, Observation 3.6's Γ sets) and
-//     on multigraph input;
+//     tables, β values, EVENTB positions, Observation 3.6's Γ sets), on
+//     multigraph input, and through vertex filters (a filtered build
+//     against the keep-all one);
 //   * deterministic estimator-state invariants across batch sizes,
 //     including w = 1 (which must behave like the sequential algorithm);
 //   * distributional equivalence with the naive engine;
@@ -10,12 +11,17 @@
 //     simd_equivalence_test.cc.)
 
 #include <cmath>
+#include <iterator>
 #include <map>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "core/bulk_engine.h"
+#include "core/estimator_kernels.h"
 #include "core/triangle_counter.h"
 #include "gen/erdos_renyi.h"
+#include "gen/holme_kim.h"
 #include "graph/csr.h"
 #include "graph/exact.h"
 #include "gtest/gtest.h"
@@ -61,7 +67,7 @@ TEST(BatchIndexTest, Figure2DegreeTable) {
       {0, 0, 1, 1}, {0, 1, 2, 1}, {1, 1, 3, 1}, {2, 2, 3, 1}, {3, 2, 3, 2}};
   const auto batch = Figure2Batch();
   BatchIndex index;
-  index.Build(batch);
+  index.Build(batch, BatchIndex::kKeepAll);
   // Dense ids follow first appearance: K, L, J, I.
   EXPECT_EQ(index.IdOf(kK), 0u);
   EXPECT_EQ(index.IdOf(kL), 1u);
@@ -100,7 +106,7 @@ TEST(BatchIndexTest, Figure2EventBSequence) {
   };
   const auto batch = Figure2Batch();
   BatchIndex index;
-  index.Build(batch);
+  index.Build(batch, BatchIndex::kKeepAll);
   const std::vector<EventB> expected = {
       {0, kK, 1}, {0, kL, 1}, {1, kJ, 1}, {1, kK, 2}, {2, kI, 1},
       {2, kK, 3}, {3, kI, 2}, {3, kJ, 2}, {4, kI, 3}, {4, kL, 2}};
@@ -120,7 +126,7 @@ TEST(BatchIndexTest, Figure2Observation36) {
   //   N(IK) ∩ B = Γ(IK)(I) ∪ Γ(IK)(K) = {IJ, IL} ∪ {} (no K-edge after IK).
   const auto batch = Figure2Batch();
   BatchIndex index;
-  index.Build(batch);
+  index.Build(batch, BatchIndex::kKeepAll);
   EXPECT_EQ(index.position(1).beta[1], 2u);  // β(JK)(K)
   // β(IK): at index 2, deg(I)=1, deg(K)=3.
   const std::uint32_t beta_i = index.position(2).beta[0];
@@ -144,7 +150,7 @@ TEST(BatchIndexTest, SelfLoopsAndRepeatsFollowEdgeIter) {
   const std::vector<Edge> batch = {Edge(5, 6), Edge(5, 5), Edge(6, 5),
                                    Edge(5, 9)};
   BatchIndex index;
-  index.Build(batch);
+  index.Build(batch, BatchIndex::kKeepAll);
   const std::uint32_t id5 = index.IdOf(5);
   EXPECT_EQ(index.position(1).beta[0], 3u);
   EXPECT_EQ(index.position(1).beta[1], 3u);
@@ -166,10 +172,10 @@ TEST(BatchIndexTest, SecondBuildForgetsTheFirstBatch) {
   std::vector<Edge> first;
   for (VertexId i = 0; i < 1000; ++i) first.emplace_back(i, 1000 + i % 37);
   BatchIndex index;
-  index.Build(first);
+  index.Build(first, BatchIndex::kKeepAll);
   ASSERT_NE(index.IdOf(999), BatchIndex::kAbsent);
   const std::vector<Edge> second = {Edge(5000, 6000), Edge(3, 5000)};
-  index.Build(second);
+  index.Build(second, BatchIndex::kKeepAll);
   EXPECT_EQ(index.IdOf(5000), 0u);
   EXPECT_EQ(index.IdOf(6000), 1u);
   EXPECT_EQ(index.IdOf(3), 2u);
@@ -194,7 +200,7 @@ TEST(BatchIndexTest, VertexDisjointBatchGrowsTheTableMidBuild) {
       for (VertexId i = 0; i < w; ++i) {
         batch.emplace_back(base + 2 * i, base + 2 * i + 1);
       }
-      index.Build(batch);
+      index.Build(batch, BatchIndex::kKeepAll);
       EXPECT_EQ(index.MemoryBytes(), BatchIndex::BytesFor(w));
       for (VertexId i = 0; i < w; ++i) {
         for (const VertexId end : {0u, 1u}) {
@@ -236,7 +242,8 @@ TEST(BatchIndexTest, StaleSlotInAProbeChainStaysDeadThroughGrowth) {
     }
   }
   BatchIndex index;
-  index.Build(std::vector<Edge>{Edge(a, x)});  // a at home(a), x behind it
+  // a at home(a), x behind it.
+  index.Build(std::vector<Edge>{Edge(a, x)}, BatchIndex::kKeepAll);
   // x and the 13 fillers fill the 16 slots to 7/8; the 15th vertex grows
   // the table. 9 edges keep the initial size at 16 slots.
   std::vector<Edge> batch = {Edge(x, fillers[0])};
@@ -246,7 +253,7 @@ TEST(BatchIndexTest, StaleSlotInAProbeChainStaysDeadThroughGrowth) {
   batch.emplace_back(5000, 5001);
   batch.emplace_back(5002, x);
   ASSERT_EQ(batch.size(), 9u);
-  index.Build(batch);
+  index.Build(batch, BatchIndex::kKeepAll);
   EXPECT_EQ(index.IdOf(x), 0u);
   EXPECT_EQ(index.Degree(0), 2u);
   EXPECT_EQ(index.EventB(0, 2), 8u);
@@ -268,12 +275,12 @@ TEST(BatchIndexTest, TagsWrapWithOneFullClear) {
   const std::vector<Edge> spread = {Edge(4, 5), Edge(6, 7), Edge(8, 1)};
   BatchIndex index;
   index.SetBaseForTesting(0xffffffffu - 7);  // base + 2w + 1 == 2^32 - 1
-  index.Build(triangle);
+  index.Build(triangle, BatchIndex::kKeepAll);
   for (VertexId v = 1; v <= 3; ++v) {
     EXPECT_EQ(index.IdOf(v), v - 1);
     EXPECT_EQ(index.Degree(v - 1), 2u);
   }
-  index.Build(spread);  // base + 3 + 7 passes 2^32 - 1
+  index.Build(spread, BatchIndex::kKeepAll);  // base + 3 + 7 > 2^32 - 1
   const std::vector<VertexId> order = {4, 5, 6, 7, 8, 1};
   for (std::uint32_t id = 0; id < order.size(); ++id) {
     EXPECT_EQ(index.IdOf(order[id]), id) << "vertex " << order[id];
@@ -281,7 +288,7 @@ TEST(BatchIndexTest, TagsWrapWithOneFullClear) {
   }
   EXPECT_EQ(index.IdOf(2), BatchIndex::kAbsent);
   EXPECT_EQ(index.IdOf(3), BatchIndex::kAbsent);
-  index.Build(triangle);
+  index.Build(triangle, BatchIndex::kKeepAll);
   for (VertexId v = 1; v <= 3; ++v) EXPECT_EQ(index.IdOf(v), v - 1);
   for (const VertexId v : {4u, 5u, 6u, 7u, 8u}) {
     EXPECT_EQ(index.IdOf(v), BatchIndex::kAbsent) << "vertex " << v;
@@ -295,7 +302,7 @@ TEST(BatchIndexTest, VertexZeroAndAllOnesGetIds) {
   const std::vector<Edge> batch = {Edge(0, kTop), Edge(kTop, 5),
                                    Edge(5, 0)};
   BatchIndex index;
-  index.Build(batch);
+  index.Build(batch, BatchIndex::kKeepAll);
   EXPECT_EQ(index.IdOf(0), 0u);
   EXPECT_EQ(index.IdOf(kTop), 1u);
   EXPECT_EQ(index.IdOf(5), 2u);
@@ -305,6 +312,213 @@ TEST(BatchIndexTest, VertexZeroAndAllOnesGetIds) {
   }
   EXPECT_EQ(index.EventB(index.IdOf(kTop), 2), 1u);
   EXPECT_EQ(index.EventB(index.IdOf(0), 2), 2u);
+}
+
+// ---------------------------------------------------- filtered builds
+
+// A one-hash vertex filter of 2^log2_bits bits holding `vertices`.
+struct FilterBits {
+  std::vector<std::uint64_t> bits;
+  int log2_bits;
+
+  FilterBits(const std::vector<VertexId>& vertices, int log2)
+      : bits(std::size_t{1} << (log2 - 6), 0), log2_bits(log2) {
+    for (const VertexId x : vertices) {
+      const std::uint64_t bit = kernels::BloomBitIndex(x, log2_bits);
+      bits[bit >> 6] |= std::uint64_t{1} << (bit & 63);
+    }
+  }
+  BatchIndex::VertexFilter filter() const { return {bits.data(), log2_bits}; }
+};
+
+// Every vertex of `batch`, once, in order of first appearance.
+std::vector<VertexId> BatchVertices(std::span<const Edge> batch) {
+  std::vector<VertexId> vertices;
+  FlatHashMap<std::uint8_t> seen;
+  for (const Edge& e : batch) {
+    for (const VertexId x : {e.u, e.v}) {
+      if (seen.Find(x) == nullptr) {
+        seen[x] = 1;
+        vertices.push_back(x);
+      }
+    }
+  }
+  return vertices;
+}
+
+// Expects `got` and `want`, built over `batch`, to index the same vertices
+// among `vertices` with the same ids, degrees and EVENTB lists, and to give
+// every position whose endpoints both have ids the same ids and β.
+void ExpectSameEvents(const BatchIndex& got, const BatchIndex& want,
+                      std::span<const VertexId> vertices,
+                      std::span<const Edge> batch) {
+  for (const VertexId x : vertices) {
+    const std::uint32_t id = got.IdOf(x);
+    ASSERT_EQ(id, want.IdOf(x)) << "vertex " << x;
+    ASSERT_EQ(got.Degree(id), want.Degree(id)) << "vertex " << x;
+    for (std::uint32_t d = 1; d <= got.Degree(id); ++d) {
+      ASSERT_EQ(got.EventB(id, d), want.EventB(id, d))
+          << "vertex " << x << " d " << d;
+    }
+  }
+  for (std::size_t j = 0; j < batch.size(); ++j) {
+    if (got.IdOf(batch[j].u) == BatchIndex::kAbsent ||
+        got.IdOf(batch[j].v) == BatchIndex::kAbsent) {
+      continue;
+    }
+    const BatchIndex::Position p = got.position(j);
+    const BatchIndex::Position q = want.position(j);
+    for (const int s : {0, 1}) {
+      ASSERT_EQ(p.id[s], q.id[s]) << "position " << j;
+      ASSERT_EQ(p.beta[s], q.beta[s]) << "position " << j;
+    }
+  }
+}
+
+TEST(BatchIndexTest, FilteredBuildKeepsTheFullEventsOfKeptVertices) {
+  // A Holme-Kim batch of ~10^5 edges (hubs give long incidence lists),
+  // with repeated edges and self-loops, filtered to a random third of its
+  // vertices. A vertex that passes the filter (the third and its false
+  // positives) keeps all its incidences, so its degree, EVENTB list and
+  // the β of each of its positions are those of the keep-all build; ids
+  // differ, since only kept incidences take them. Any other vertex reads
+  // as absent, with degree 0.
+  std::vector<Edge> batch;
+  const auto graph = gen::HolmeKim(34000, 3, 0.5, 7);
+  for (const Edge& e : graph.edges()) {
+    batch.push_back(e);
+    if (batch.size() % 50 == 0) batch.emplace_back(e.u, e.u);
+    if (batch.size() % 70 == 0) batch.emplace_back(e.v, e.u);
+  }
+  ASSERT_GT(batch.size(), 100000u);
+  const std::vector<VertexId> vertices = BatchVertices(batch);
+  std::vector<VertexId> third;
+  for (const VertexId x : vertices) {
+    if (U64Mixer()(x ^ 0x5eed) % 3 == 0) third.push_back(x);
+  }
+  const FilterBits bits(third, 17);  // ~11 bits per kept vertex
+  const BatchIndex::VertexFilter filter = bits.filter();
+  BatchIndex full;
+  BatchIndex filtered;
+  full.Build(batch, BatchIndex::kKeepAll);
+  filtered.Build(batch, filter);
+  std::size_t rejected = 0;
+  for (const VertexId x : vertices) {
+    const std::uint32_t id = filtered.IdOf(x);
+    if (filter.Passes(x) == 0) {
+      ++rejected;
+      ASSERT_EQ(id, BatchIndex::kAbsent) << "vertex " << x;
+      ASSERT_EQ(filtered.Degree(id), 0u) << "vertex " << x;
+      continue;
+    }
+    const std::uint32_t full_id = full.IdOf(x);
+    ASSERT_NE(id, BatchIndex::kAbsent) << "vertex " << x;
+    ASSERT_EQ(filtered.Degree(id), full.Degree(full_id)) << "vertex " << x;
+    for (std::uint32_t d = 1; d <= filtered.Degree(id); ++d) {
+      ASSERT_EQ(filtered.EventB(id, d), full.EventB(full_id, d))
+          << "vertex " << x << " d " << d;
+    }
+  }
+  EXPECT_GT(rejected, vertices.size() / 2);
+  std::size_t both_kept = 0;
+  std::size_t self_loops = 0;
+  for (std::size_t j = 0; j < batch.size(); ++j) {
+    if (filter.Passes(batch[j].u) == 0 || filter.Passes(batch[j].v) == 0) {
+      continue;
+    }
+    ++both_kept;
+    self_loops += batch[j].self_loop() ? 1 : 0;
+    const BatchIndex::Position p = filtered.position(j);
+    const BatchIndex::Position q = full.position(j);
+    ASSERT_EQ(p.id[0], filtered.IdOf(batch[j].u)) << "position " << j;
+    ASSERT_EQ(p.id[1], filtered.IdOf(batch[j].v)) << "position " << j;
+    ASSERT_EQ(p.beta[0], q.beta[0]) << "position " << j;
+    ASSERT_EQ(p.beta[1], q.beta[1]) << "position " << j;
+  }
+  EXPECT_GT(both_kept, 5000u);
+  EXPECT_GT(self_loops, 100u);
+}
+
+TEST(BatchIndexTest, FilteredBuildStepsOverBlocksWithNothingKept) {
+  // The kept bitmap holds 32 edges per word. Only the first and the last
+  // 10 edges of this 200-edge batch touch kept vertices, so the build
+  // must step over the four words between them with no bit set.
+  const std::vector<VertexId> kept = {1, 2, 3};
+  const FilterBits bits(kept, 10);
+  std::vector<VertexId> rejected;
+  for (VertexId x = 100; rejected.size() < 20; ++x) {
+    if (bits.filter().Passes(x) == 0) rejected.push_back(x);
+  }
+  std::vector<Edge> batch;
+  for (std::size_t j = 0; j < 200; ++j) {
+    if (j < 10 || j >= 190) {
+      batch.emplace_back(kept[j % 3], kept[(j + 1) % 3]);
+    } else {
+      batch.emplace_back(rejected[j % 20], rejected[(j + 7) % 20]);
+    }
+  }
+  BatchIndex full;
+  BatchIndex filtered;
+  full.Build(batch, BatchIndex::kKeepAll);
+  filtered.Build(batch, bits.filter());
+  // 1, 2 and 3 come first in both builds, so they get the same ids.
+  ExpectSameEvents(filtered, full, kept, batch);
+  EXPECT_EQ(filtered.EventB(filtered.IdOf(kept[190 % 3]), 8), 190u);
+  for (const VertexId x : rejected) {
+    EXPECT_EQ(filtered.IdOf(x), BatchIndex::kAbsent) << "vertex " << x;
+  }
+}
+
+TEST(BatchIndexTest, FilteredAndFullBuildsAlternateOnOneIndex) {
+  // At w > r/8 the bulk counter filters its index by the lanes, and a
+  // stream's short last batch may take the keep-all filter on the same
+  // index. Here one index alternates the two over overlapping vertices, so
+  // every build probes past the other kind's stale slots. The first build sizes
+  // the table at 4096 slots; the third puts 4000 vertices, most of them
+  // stale in it, into those slots and grows the table mid-pass. Each
+  // build must read exactly like a fresh index's build of its batch.
+  struct Round {
+    std::size_t w;
+    bool filtered;
+  };
+  const Round rounds[] = {{3000, false}, {40, true}, {2000, true},
+                          {1500, false}, {2500, true}, {3, false}};
+  std::vector<VertexId> seen;
+  BatchIndex index;
+  for (std::size_t round = 0; round < std::size(rounds); ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    const std::size_t w = rounds[round].w;
+    std::vector<Edge> batch;
+    for (std::size_t j = 0; j < w; ++j) {
+      if (round == 2) {  // 2w vertices, all kept
+        batch.emplace_back(2 * j, 2 * j + 1);
+      } else {
+        const std::uint64_t h = U64Mixer()(round << 32 | j);
+        batch.emplace_back(h % 5000, (h >> 32) % 5000);
+      }
+    }
+    const std::vector<VertexId> vertices = BatchVertices(batch);
+    seen.insert(seen.end(), vertices.begin(), vertices.end());
+    std::vector<VertexId> kept;
+    for (const VertexId x : vertices) {
+      if (round == 2 || U64Mixer()(x + round) % 2 == 0) kept.push_back(x);
+    }
+    const FilterBits bits(kept, 14);
+    const BatchIndex::VertexFilter filter =
+        rounds[round].filtered ? bits.filter() : BatchIndex::kKeepAll;
+    const std::size_t before = index.MemoryBytes();
+    BatchIndex fresh;
+    index.Build(batch, filter);
+    fresh.Build(batch, filter);
+    if (round == 2) {
+      EXPECT_GT(index.MemoryBytes(), before) << "the table did not grow";
+    }
+    if (round == 0) {
+      // 4096 slots, half the worst case that 6000 vertices would take.
+      EXPECT_EQ(index.MemoryBytes(), BatchIndex::BytesFor(w) - 4096 * 8);
+    }
+    ExpectSameEvents(index, fresh, seen, batch);
+  }
 }
 
 // --------------------------------------------------- invariants per batch
